@@ -29,6 +29,7 @@ from .moduli import (
     bit_cost,
     find_moduli,
 )
+from .numbers import parse_decimal
 from .rns import RnsContext, RnsError, to_rns, from_rns, RnsNumber
 from .tables import comparison_rows, rows_to_csv, rows_to_markdown
 
@@ -51,14 +52,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _decimal(text: str, what: str) -> int:
+    value = parse_decimal(text)
+    if value is None:
+        raise _UsageError(f"bad {what} {text!r}")
+    return value
+
+
 def _int_list(text: str, what: str) -> list[int]:
     items = [part for part in text.split(",") if part]
     if not items:
         raise _UsageError(f"empty {what} list")
-    try:
-        return [int(part) for part in items]
-    except ValueError:
-        raise _UsageError(f"bad {what} list {text!r}") from None
+    return [_decimal(part, what) for part in items]
 
 
 def _bindings(parts: list[str]) -> dict[str, int]:
@@ -67,15 +72,17 @@ def _bindings(parts: list[str]) -> dict[str, int]:
         for item in chunk.split(","):
             if not item:
                 continue
-            name, sep, value = item.partition("=")
-            if not sep or not name or not value.isdigit():
+            name, _, text = item.partition("=")
+            value = parse_decimal(text)
+            if not name or value is None or value < 0:
                 raise _UsageError(f"bad binding {item!r} (expected NAME=UNSIGNED)")
-            out[name] = int(value)
+            out[name] = value
     return out
 
 
 def cmd_gen(args) -> int:
-    moduli_set, trace = find_moduli(GenerationRequest(args.bits, args.count))
+    request = GenerationRequest(_decimal(args.bits, "bits"), _decimal(args.count, "count"))
+    moduli_set, trace = find_moduli(request)
     print("moduli:", ",".join(str(m) for m in moduli_set.moduli))
     print("bit_cost:", bit_cost(moduli_set))
     print("dynamic_range:", moduli_set.dynamic_range)
@@ -118,7 +125,7 @@ def cmd_convert(args) -> int:
     ctx = _context(args.moduli)
     total = ctx.moduli_set.dynamic_range
     if args.value is not None:
-        value = int(args.value)
+        value = _decimal(args.value, "value")
         if value >= total:
             print(
                 f"warning: value {value} >= dynamic range {total}; reduced modulo the range",
@@ -174,8 +181,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_gen = sub.add_parser("gen", help="generate a moduli set")
-    p_gen.add_argument("--bits", type=int, required=True, help="target range width in bits")
-    p_gen.add_argument("--count", type=int, required=True, help="number of moduli (>= 3)")
+    p_gen.add_argument("--bits", required=True, help="target range width in bits")
+    p_gen.add_argument("--count", required=True, help="number of moduli (>= 3)")
     p_gen.add_argument("--trace", action="store_true", help="print generator intermediates")
     p_gen.set_defaults(func=cmd_gen)
 

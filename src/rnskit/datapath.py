@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .numbers import parse_decimal
 from .rns import RnsContext, RnsNumber, from_rns, rns_add, rns_mul, rns_sub, to_rns
 
 __all__ = [
@@ -79,17 +80,21 @@ class ProgramParseError(ValueError):
         )
 
 
+def _check_unsigned(label: str, value) -> None:
+    if not isinstance(value, int):
+        raise ValueError(f"{label} injection must be an int or placeholder name")
+    if value < 0:
+        raise ValueError(f"{label} injection must be unsigned, got {value}")
+
+
 def _check_injection(label: str, value) -> None:
     if value is None:
         return
-    if isinstance(value, int):
-        if value < 0:
-            raise ValueError(f"{label} injection must be unsigned, got {value}")
-    elif isinstance(value, str):
+    if isinstance(value, str):
         if not _IDENT.match(value):
             raise ValueError(f"{label} placeholder {value!r} is not an identifier")
     else:
-        raise ValueError(f"{label} injection must be an int or placeholder name")
+        _check_unsigned(label, value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,13 +127,6 @@ class Step:
             if (l is Source.NONE) != (r is Source.NONE):
                 raise ValueError(f"{name} selects must both be set or both NONE")
 
-    def placeholders(self) -> set[str]:
-        names = set()
-        for value in (self.inject_a, self.inject_b):
-            if isinstance(value, str):
-                names.add(value)
-        return names
-
 
 @dataclass(frozen=True, slots=True)
 class Microprogram:
@@ -142,16 +140,10 @@ class Microprogram:
             raise ValueError(f"program name must be a non-empty token, got {self.name!r}")
         object.__setattr__(self, "steps", tuple(self.steps))
 
-    def placeholders(self) -> set[str]:
-        names = set()
-        for s in self.steps:
-            names |= s.placeholders()
-        return names
-
 
 @dataclass(slots=True)
 class DatapathState:
-    """Latches of the five sources plus the emitted-output list.
+    """Latches of the five sources, the emitted outputs and the run's bindings.
 
     Owned by a single run; latches start undefined and, once written,
     always hold a residue vector valid for the run's context.
@@ -159,30 +151,36 @@ class DatapathState:
 
     latches: dict[Source, RnsNumber] = field(default_factory=dict)
     outputs: list[int] = field(default_factory=list)
+    bindings: dict[str, int] = field(default_factory=dict)
 
 
 def step(ctx: RnsContext, state: DatapathState, s: Step, index: int | None = None) -> DatapathState:
     """Execute one step in place and return the state.
 
-    Order inside the step: injections overwrite IN1/IN2, active units read
-    the post-injection latches, all unit results latch at once, and the
-    emit select (post-update) appends one reverse-converted output.
+    Order inside the step: injections overwrite IN1/IN2 (placeholders are
+    looked up in state.bindings), active units read the post-injection
+    latches, all unit results latch at once, and the emit select
+    (post-update) appends one reverse-converted output.
     """
+    latches = state.latches
     for value, latch in ((s.inject_a, Source.IN1), (s.inject_b, Source.IN2)):
         if value is None:
             continue
         if isinstance(value, str):
-            raise UnboundPlaceholderError(value)
-        state.latches[latch] = to_rns(ctx, value)
-
-    reads = dict(state.latches)
+            try:
+                value = state.bindings[value]
+            except KeyError:
+                raise UnboundPlaceholderError(value) from None
+        latches[latch] = to_rns(ctx, value)
 
     def fetch(src: Source) -> RnsNumber:
         try:
-            return reads[src]
+            return latches[src]
         except KeyError:
             raise RunFault(index, src) from None
 
+    # every unit reads before any result latches, so one step's units
+    # see the previous step's ADD/SUB/MUL, never each other's new ones
     updates: dict[Source, RnsNumber] = {}
     if s.add_l is not Source.NONE:
         updates[Source.ADD] = rns_add(ctx, fetch(s.add_l), fetch(s.add_r))
@@ -190,34 +188,11 @@ def step(ctx: RnsContext, state: DatapathState, s: Step, index: int | None = Non
         updates[Source.SUB] = rns_sub(ctx, fetch(s.sub_l), fetch(s.sub_r))
     if s.mul_l is not Source.NONE:
         updates[Source.MUL] = rns_mul(ctx, fetch(s.mul_l), fetch(s.mul_r))
-    state.latches.update(updates)
+    latches.update(updates)
 
     if s.emit is not Source.NONE:
-        latched = state.latches.get(s.emit)
-        if latched is None:
-            raise RunFault(index, s.emit)
-        state.outputs.append(from_rns(ctx, latched))
+        state.outputs.append(from_rns(ctx, fetch(s.emit)))
     return state
-
-
-def _resolve(s: Step, bindings: dict[str, int]) -> Step:
-    def value_of(v):
-        if isinstance(v, str):
-            if v not in bindings:
-                raise UnboundPlaceholderError(v)
-            return bindings[v]
-        return v
-
-    if not s.placeholders():
-        return s
-    return Step(
-        inject_a=value_of(s.inject_a),
-        inject_b=value_of(s.inject_b),
-        add_l=s.add_l, add_r=s.add_r,
-        sub_l=s.sub_l, sub_r=s.sub_r,
-        mul_l=s.mul_l, mul_r=s.mul_r,
-        emit=s.emit,
-    )
 
 
 def run(
@@ -225,14 +200,20 @@ def run(
 ) -> tuple[list[int], list[dict[Source, RnsNumber]]]:
     """Run a program and return (outputs, per-step latch snapshots).
 
-    All placeholders must be bound before the first step executes; a read
-    of an undefined latch raises RunFault carrying the step index.
+    Before the first step executes, every placeholder must be bound to an
+    unsigned int (checked in step order, a before b); a read of an
+    undefined latch raises RunFault carrying the step index.
     """
     bindings = bindings or {}
-    resolved = [_resolve(s, bindings) for s in prog.steps]
-    state = DatapathState()
+    for s in prog.steps:
+        for label, name in (("a", s.inject_a), ("b", s.inject_b)):
+            if isinstance(name, str):
+                if name not in bindings:
+                    raise UnboundPlaceholderError(name)
+                _check_unsigned(label, bindings[name])
+    state = DatapathState(bindings=bindings)
     trace: list[dict[Source, RnsNumber]] = []
-    for i, s in enumerate(resolved):
+    for i, s in enumerate(prog.steps):
         step(ctx, state, s, index=i)
         trace.append(dict(state.latches))
     return list(state.outputs), trace
@@ -301,9 +282,10 @@ def _parse_value(text: str):
         if not _IDENT.match(name):
             raise ValueError(f"bad placeholder {text!r}")
         return name
-    if not text.isdigit():
+    value = parse_decimal(text)
+    if value is None or value < 0:
         raise ValueError(f"bad unsigned decimal {text!r}")
-    return int(text)
+    return value
 
 
 def _parse_source(text: str) -> Source:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .numbers import bit_length, ceil_nth_root, coprime_to_all, gcd
+from .numbers import bit_length, ceil_nth_root, coprime_to_all, gcd, parse_decimal
 
 __all__ = [
     "ModuliSet",
@@ -47,15 +47,18 @@ class RangeTooSmallError(ValueError):
 class ModuliSet:
     """Ordered moduli with their cached dynamic range (exact product).
 
-    Construction is permissive so that invalid candidate sets can still be
-    inspected; `validate` reports >= 2 / coprimality / range violations.
+    Moduli must be ints (not bools), but may be invalid so that candidate
+    sets can be inspected; `validate` reports >= 2 / coprimality / range violations.
     """
 
     moduli: tuple[int, ...]
     dynamic_range: int = field(init=False)
 
     def __post_init__(self) -> None:
-        ms = tuple(int(m) for m in self.moduli)
+        ms = tuple(self.moduli)
+        for m in ms:
+            if isinstance(m, bool) or not isinstance(m, int):
+                raise TypeError(f"modulus {m!r} is not an int")
         object.__setattr__(self, "moduli", ms)
         prod = 1
         for m in ms:
@@ -137,10 +140,10 @@ class SchemeId:
         """Parse labels like "proposed4" or "sm1" (case-insensitive)."""
         text = label.strip().lower()
         if text.startswith("proposed"):
-            suffix = text[len("proposed"):]
-            if not suffix.isdigit():
+            cardinality = parse_decimal(text[len("proposed"):])
+            if cardinality is None or cardinality < 0:
                 raise ValueError(f"unknown scheme {label!r}")
-            return cls("proposed", int(suffix))
+            return cls("proposed", cardinality)
         if text in BASELINE_FAMILIES:
             return cls(text)
         raise ValueError(f"unknown scheme {label!r}")
@@ -256,6 +259,13 @@ def bit_cost(moduli_set: ModuliSet) -> int:
     return sum(bit_length(m) for m in moduli_set.moduli)
 
 
+def structural_faults(ms: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The moduli below 2 and every non-coprime pair (i < j), in set order."""
+    small = tuple(m for m in ms if m < 2)
+    pairs = tuple((a, b) for i, a in enumerate(ms) for b in ms[i + 1:] if gcd(a, b) != 1)
+    return small, pairs
+
+
 def validate(moduli_set: ModuliSet, bits: int) -> ValidationReport:
     """Check moduli >= 2, pairwise coprimality, and range coverage.
 
@@ -263,14 +273,7 @@ def validate(moduli_set: ModuliSet, bits: int) -> ValidationReport:
     moduli, every non-coprime pair, and how far the dynamic range falls
     short of 2**bits - 1 (zero when covered).
     """
-    ms = moduli_set.moduli
-    small = tuple(m for m in ms if m < 2)
-    pairs = tuple(
-        (ms[i], ms[j])
-        for i in range(len(ms))
-        for j in range(i + 1, len(ms))
-        if gcd(ms[i], ms[j]) != 1
-    )
+    small, pairs = structural_faults(moduli_set.moduli)
     target = (1 << bits) - 1
     shortfall = max(0, target - moduli_set.dynamic_range)
     return ValidationReport(small, pairs, shortfall)

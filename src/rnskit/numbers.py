@@ -15,6 +15,7 @@ __all__ = [
     "mod_inverse",
     "coprime_to_all",
     "bit_length",
+    "parse_decimal",
     "NotCoprimeError",
 ]
 
@@ -75,3 +76,18 @@ def bit_length(m: int) -> int:
     if m < 1:
         raise ValueError(f"bit_length requires m >= 1, got {m}")
     return m.bit_length()
+
+
+def parse_decimal(text: str) -> int | None:
+    """The int spelled by an optional '-' and ASCII digits 0-9, else None.
+
+    '+', whitespace, '_', non-ASCII digits and text past int()'s digit
+    limit all give None.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None

@@ -3,15 +3,15 @@
 An integer x in [0, M) is represented by its remainders against each
 modulus; addition, subtraction and multiplication act independently per
 channel, so no carry crosses channel boundaries.  Reverse conversion is
-the classic weighted sum with precomputed per-channel weights
-(M_i = M / m_i and y_i = M_i^-1 mod m_i).
+the classic weighted sum with one precomputed coefficient per channel,
+M_i * y_i where M_i = M / m_i and y_i = M_i^-1 mod m_i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .moduli import ModuliSet
+from .moduli import ModuliSet, structural_faults
 from .numbers import gcd, mod_inverse
 
 __all__ = [
@@ -33,43 +33,32 @@ class RnsError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class RnsContext:
-    """A validated moduli set plus the reverse-conversion weights.
+    """A validated moduli set plus its per-channel CRT coefficients.
 
-    Immutable after construction; safe to share across threads.
+    crt_coeffs[i] is M_i * y_i: 1 modulo the i-th modulus and 0 modulo
+    every other one.  Immutable after construction; safe to share across
+    threads.
     """
 
     moduli_set: ModuliSet
-    crt_weights: tuple[tuple[int, int], ...] = field(init=False)
-    _coeffs: tuple[int, ...] = field(init=False, repr=False)
+    crt_coeffs: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         ms = self.moduli_set.moduli
         if not ms:
             raise RnsError("moduli set is empty")
-        for m in ms:
-            if m < 2:
-                raise RnsError(f"modulus {m} < 2")
-        for i in range(len(ms)):
-            for j in range(i + 1, len(ms)):
-                g = gcd(ms[i], ms[j])
-                if g != 1:
-                    raise RnsError(
-                        f"moduli {ms[i]} and {ms[j]} are not coprime (gcd = {g})"
-                    )
+        small, pairs = structural_faults(ms)
+        if small:
+            raise RnsError(f"modulus {small[0]} < 2")
+        if pairs:
+            a, b = pairs[0]
+            raise RnsError(f"moduli {a} and {b} are not coprime (gcd = {gcd(a, b)})")
         total = self.moduli_set.dynamic_range
-        weights = []
         coeffs = []
         for m in ms:
             partial = total // m
-            inv = mod_inverse(partial % m, m)
-            weights.append((partial, inv))
-            coeffs.append(partial * inv)
-        object.__setattr__(self, "crt_weights", tuple(weights))
-        object.__setattr__(self, "_coeffs", tuple(coeffs))
-
-    @classmethod
-    def from_moduli(cls, moduli) -> "RnsContext":
-        return cls(ModuliSet(tuple(moduli)))
+            coeffs.append(partial * mod_inverse(partial % m, m))
+        object.__setattr__(self, "crt_coeffs", tuple(coeffs))
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,7 +99,7 @@ def from_rns(ctx: RnsContext, value: RnsNumber) -> int:
     """Recover the unique integer in [0, M) with the given residues."""
     _check_operand(ctx, value)
     total = 0
-    for r, c in zip(value.residues, ctx._coeffs):
+    for r, c in zip(value.residues, ctx.crt_coeffs):
         total += r * c
     return total % ctx.moduli_set.dynamic_range
 

@@ -1,3 +1,5 @@
+import pytest
+
 from rnskit.cli import main
 from rnskit.moduli import SchemeId
 from rnskit.tables import comparison_rows, rows_from_csv, rows_to_csv, rows_to_markdown
@@ -165,6 +167,45 @@ def test_convert_residue_out_of_range_exits_2(capsys):
     assert code == 2
 
 
+def test_convert_non_decimal_value_exits_1(capsys):
+    code, out, err = invoke(capsys, "convert", "--moduli", "8,9,7", "--value", "abc")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("rnskit: error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("convert", "--moduli", "8,9,7", "--value", "-5"),
+        ("convert", "--moduli", "8,-9,7", "--value", "5"),
+        ("convert", "--moduli", "8,9,7", "--residues", "4,-1,1"),
+        ("gen", "--bits", "-5", "--count", "3"),
+    ],
+)
+def test_negative_numbers_reach_validation_exits_2(capsys, argv):
+    code, _, err = invoke(capsys, *argv)
+    assert code == 2
+    assert "validation" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("convert", "--moduli", "8,9,x", "--value", "5"),
+        ("convert", "--moduli", "8,9,7", "--residues", "4,\u00b2,1"),
+        ("compare", "--bits", "16,1.5", "--schemes", "sm1"),
+        ("gen", "--bits", "16", "--count", "\u0663"),
+    ],
+)
+def test_non_decimal_numbers_exit_1(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("rnskit: error:")
+
+
 def test_convert_requires_direction(capsys):
     code, _, _ = invoke(capsys, "convert", "--moduli", "8,9,7")
     assert code == 1
@@ -201,6 +242,27 @@ def test_run_unbound_placeholder_exits_1(capsys):
     )
     assert code == 1
     assert "$Z" in err
+
+
+def test_run_non_ascii_digit_binding_exits_1(capsys):
+    code, out, err = invoke(
+        capsys,
+        "run", "--builtin", "function1", "--moduli", "8,9,7",
+        "--bind", "X=\u00b2,Y=1,Z=1",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("rnskit: error:")
+    assert "Traceback" not in err
+
+
+def test_run_negative_binding_exits_1(capsys):
+    code, _, err = invoke(
+        capsys,
+        "run", "--builtin", "function2", "--moduli", "8,9,7", "--bind", "X=3,E=-1",
+    )
+    assert code == 1
+    assert "E=-1" in err
 
 
 def test_run_program_file(capsys, tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rnskit import datapath
 from rnskit.datapath import (
     DatapathState,
     Microprogram,
@@ -120,6 +121,37 @@ def test_unbound_placeholder_names_it():
         run(CTX, builtin_function1(), {"X": 7, "Y": 5})
     assert exc.value.name == "Z"
     assert "$Z" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "bindings",
+    [
+        {"X": 7.5, "Y": 1, "Z": 1},
+        {"X": -1, "Y": 1, "Z": 1},
+        {"X": 1, "Y": 1, "Z": -1},  # Z is first injected in step 1
+    ],
+)
+def test_bad_bound_value_rejected_before_any_step(monkeypatch, bindings):
+    executed = []
+    monkeypatch.setattr(datapath, "step", lambda *args, **kwargs: executed.append(args))
+    with pytest.raises(ValueError):
+        run(CTX, builtin_function1(), bindings)
+    assert executed == []
+
+
+def test_unbound_placeholder_checked_before_any_step():
+    prog = Microprogram(
+        name="late",
+        steps=(Step(emit=Source.MUL), Step(inject_a="Q")),
+    )
+    with pytest.raises(UnboundPlaceholderError) as exc:
+        run(CTX, prog, {})
+    assert exc.value.name == "Q"
+
+
+def test_step_reads_bindings_from_state():
+    state = step(CTX, DatapathState(bindings={"X": 7}), Step(inject_a="X", inject_b=5))
+    assert state.latches[Source.IN1] == to_rns(CTX, 7)
 
 
 def test_run_fault_reports_step_index():
@@ -259,6 +291,13 @@ def test_parse_single_source_for_unit():
 def test_parse_bad_decimal():
     with pytest.raises(ProgramParseError):
         parse_program("PROG p\nSTEP a=-3\nEND\n")
+
+
+@pytest.mark.parametrize("text", ["+3", "\u00b2", "\u0663", "1_0"])
+def test_parse_value_takes_plain_decimals_only(text):
+    with pytest.raises(ProgramParseError) as exc:
+        parse_program(f"PROG p\nSTEP a={text}\nEND\n")
+    assert exc.value.diagnostics == [(2, f"bad unsigned decimal {text!r}")]
 
 
 def test_parse_missing_header():

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -131,6 +133,26 @@ def test_bit_cost(moduli, expected):
 
 
 # --- validate -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("moduli", [(8.5, 9, 7), (True, 9, 7), (8, "9", 7)])
+def test_moduli_set_rejects_non_int(moduli):
+    with pytest.raises(TypeError):
+        ModuliSet(moduli)
+
+
+def test_generated_set_is_not_bit_minimal():
+    # The generator does not minimize the summed width: at 12 bits with
+    # three moduli, (31, 29, 5) is valid and two bits cheaper.
+    moduli_set, _ = gen(12, 3)
+    assert moduli_set.moduli == (18, 19, 17)
+    assert bit_cost(moduli_set) == 15
+    cheaper = ModuliSet((31, 29, 5))
+    assert validate(cheaper, 12).ok
+    assert cheaper.dynamic_range == 4495
+    assert bit_cost(cheaper) == 13
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert "minimize" not in readme
 
 
 def test_validate_range_shortfall():

@@ -9,6 +9,7 @@ from rnskit.numbers import (
     coprime_to_all,
     gcd,
     mod_inverse,
+    parse_decimal,
 )
 
 
@@ -182,3 +183,26 @@ def test_bit_length_rejects_zero():
 def test_bit_length_matches_binary_digits():
     for m in range(1, 2**20 + 1):
         assert bit_length(m) == len(bin(m)) - 2
+
+
+# --- parse_decimal --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [("0", 0), ("36", 36), ("007", 7), ("-5", -5), ("-0", 0), ("9" * 40, int("9" * 40))],
+)
+def test_parse_decimal_accepts_ascii_decimals(text, expected):
+    assert parse_decimal(text) == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "-", "+5", " 5", "5 ", "5\n", "1_000", "abc", "0x10", "--5", "5-", "\u00b2", "\u0663", "\uff15", "1.0"],
+)
+def test_parse_decimal_rejects_everything_else(text):
+    assert parse_decimal(text) is None
+
+
+def test_parse_decimal_rejects_text_past_the_digit_limit():
+    assert parse_decimal("1" * 5000) is None

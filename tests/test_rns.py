@@ -98,8 +98,18 @@ def test_context_rejects_small_modulus():
 
 
 def test_crt_weights_law():
-    for (partial, inv), m in zip(CTX.crt_weights, CTX.moduli_set.moduli):
-        assert (partial * inv) % m == 1
+    moduli = CTX.moduli_set.moduli
+    assert len(CTX.crt_coeffs) == len(moduli)
+    for i, c in enumerate(CTX.crt_coeffs):
+        for j, m in enumerate(moduli):
+            assert c % m == (1 if i == j else 0)
+
+
+def test_context_error_messages():
+    with pytest.raises(RnsError, match=r"^modulus 1 < 2$"):
+        RnsContext(ModuliSet((3, 1, 0)))
+    with pytest.raises(RnsError, match=r"^moduli 6 and 9 are not coprime \(gcd = 3\)$"):
+        RnsContext(ModuliSet((5, 6, 9, 4)))
 
 
 # --- channel arithmetic --------------------------------------------------------------
