@@ -1,7 +1,7 @@
 """Command-line surface: gen, compare, convert, and run.
 
-Exit codes: 0 ok, 1 usage or program-parse error, 2 validation error,
-3 datapath run fault.
+Exit codes: 0 ok, 1 usage or program-parse error, 2 validation error
+(including a value beyond a documented limit), 3 datapath run fault.
 """
 
 from __future__ import annotations
@@ -40,8 +40,22 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_RUN_FAULT = 3
 
+# Input limits: gen/compare --bits, gen --count, run's function2 exponent E,
+# and the length and dynamic-range width of a --moduli list.  Every set gen
+# prints within them is accepted back, and every integer below a range of
+# MAX_RANGE_BITS prints within int()'s default 4300-digit limit.
+MAX_BITS = 8192
+MAX_COUNT = 64
+MAX_EXPONENT = 4096
+MAX_MODULI = 64
+MAX_RANGE_BITS = 12288
+
 
 class _UsageError(Exception):
+    pass
+
+
+class _LimitError(Exception):
     pass
 
 
@@ -56,6 +70,12 @@ def _decimal(text: str, what: str) -> int:
     value = parse_decimal(text)
     if value is None:
         raise _UsageError(f"bad {what} {text!r}")
+    return value
+
+
+def _at_most(value: int, limit: int, what: str) -> int:
+    if value > limit:
+        raise _LimitError(f"{what} {value} is over the limit of {limit}")
     return value
 
 
@@ -81,8 +101,9 @@ def _bindings(parts: list[str]) -> dict[str, int]:
 
 
 def cmd_gen(args) -> int:
-    request = GenerationRequest(_decimal(args.bits, "bits"), _decimal(args.count, "count"))
-    moduli_set, trace = find_moduli(request)
+    bits = _at_most(_decimal(args.bits, "bits"), MAX_BITS, "bits")
+    count = _at_most(_decimal(args.count, "count"), MAX_COUNT, "count")
+    moduli_set, trace = find_moduli(GenerationRequest(bits, count))
     print("moduli:", ",".join(str(m) for m in moduli_set.moduli))
     print("bit_cost:", bit_cost(moduli_set))
     print("dynamic_range:", moduli_set.dynamic_range)
@@ -95,7 +116,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    bits_list = _int_list(args.bits, "bits")
+    bits_list = [_at_most(bits, MAX_BITS, "bits") for bits in _int_list(args.bits, "bits")]
     schemes = []
     for label in args.schemes.split(","):
         if not label:
@@ -118,7 +139,11 @@ def cmd_compare(args) -> int:
 
 
 def _context(moduli_text: str) -> RnsContext:
-    return RnsContext(ModuliSet(tuple(_int_list(moduli_text, "moduli"))))
+    moduli = _int_list(moduli_text, "moduli")
+    _at_most(len(moduli), MAX_MODULI, "number of moduli")
+    moduli_set = ModuliSet(tuple(moduli))
+    _at_most(moduli_set.dynamic_range.bit_length(), MAX_RANGE_BITS, "dynamic range bits")
+    return RnsContext(moduli_set)
 
 
 def cmd_convert(args) -> int:
@@ -161,11 +186,14 @@ def cmd_run(args) -> int:
         elif args.builtin == "function2":
             if "E" not in bindings:
                 raise _UsageError("function2 needs a binding for E (the exponent)")
-            prog = builtin_function2(bindings.pop("E"))
+            prog = builtin_function2(_at_most(bindings.pop("E"), MAX_EXPONENT, "exponent E"))
         else:
             raise _UsageError(f"unknown builtin {args.builtin!r}")
     else:
-        text = Path(args.program).read_text(encoding="utf-8")
+        try:
+            text = Path(args.program).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise _UsageError(f"{args.program}: {exc}") from None
         prog = parse_program(text)
     ctx = _context(args.moduli)
     outputs, trace = run(ctx, prog, bindings)
@@ -234,7 +262,7 @@ def main(argv=None) -> int:
     except UnboundPlaceholderError as exc:
         print(f"rnskit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CardinalityError, RangeTooSmallError, RnsError) as exc:
+    except (CardinalityError, RangeTooSmallError, RnsError, _LimitError) as exc:
         print(f"rnskit: validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except RunFault as exc:

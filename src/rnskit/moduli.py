@@ -207,11 +207,9 @@ def find_moduli(req: GenerationRequest) -> tuple[ModuliSet, GenerationTrace]:
             f"modulus {center - 1} < 2"
         )
     picked = [center, center + 1, center - 1]
+    product = center * (center + 1) * (center - 1)
     extras = []
     for j in range(1, req.cardinality - 2):
-        product = 1
-        for m in picked:
-            product *= m
         k = (target + product - 1) // product
         k_root = ceil_nth_root(k, req.cardinality - 2 - j)
         candidate = max(k_root, 2)
@@ -219,6 +217,7 @@ def find_moduli(req: GenerationRequest) -> tuple[ModuliSet, GenerationTrace]:
             candidate += 1
         extras.append(ExtraChoice(k=k, k_root=k_root, chosen=candidate))
         picked.append(candidate)
+        product *= candidate
     return ModuliSet(tuple(picked)), GenerationTrace(x, center, tuple(extras))
 
 

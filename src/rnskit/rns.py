@@ -10,6 +10,8 @@ M_i * y_i where M_i = M / m_i and y_i = M_i^-1 mod m_i.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import add, mod, mul, sub
 
 from .moduli import ModuliSet, structural_faults
 from .numbers import gcd, mod_inverse
@@ -75,8 +77,18 @@ class RnsNumber:
                 f"expected {len(ms)} residues, got {len(self.residues)}"
             )
         for r, m in zip(self.residues, ms):
+            if not isinstance(r, int):
+                raise TypeError(f"residue {r!r} is not an int")
             if not 0 <= r < m:
                 raise RnsError(f"residue {r} out of range for modulus {m}")
+
+
+def _reduced(residues: tuple[int, ...], moduli_set: ModuliSet) -> RnsNumber:
+    """An RnsNumber without the range check, for ints already reduced mod each modulus."""
+    number = object.__new__(RnsNumber)
+    object.__setattr__(number, "residues", residues)
+    object.__setattr__(number, "moduli_set", moduli_set)
+    return number
 
 
 def _check_operand(ctx: RnsContext, value: RnsNumber) -> None:
@@ -87,54 +99,43 @@ def _check_operand(ctx: RnsContext, value: RnsNumber) -> None:
         )
 
 
+def _channelwise(ctx: RnsContext, op, a: RnsNumber, b: RnsNumber) -> RnsNumber:
+    # Python's % with a positive modulus is never negative, so sub needs no + m
+    _check_operand(ctx, a)
+    _check_operand(ctx, b)
+    ms = ctx.moduli_set
+    return _reduced(tuple(map(mod, map(op, a.residues, b.residues), ms.moduli)), ms)
+
+
 def to_rns(ctx: RnsContext, x: int) -> RnsNumber:
     """Convert x to residues; values >= the dynamic range wrap around."""
+    if not isinstance(x, int):
+        raise TypeError(f"value {x!r} is not an int")
     if x < 0:
         raise RnsError(f"negative values are unsupported, got {x}")
     x %= ctx.moduli_set.dynamic_range
-    return RnsNumber(tuple(x % m for m in ctx.moduli_set.moduli), ctx.moduli_set)
+    return _reduced(tuple(map(mod, repeat(x), ctx.moduli_set.moduli)), ctx.moduli_set)
 
 
 def from_rns(ctx: RnsContext, value: RnsNumber) -> int:
     """Recover the unique integer in [0, M) with the given residues."""
     _check_operand(ctx, value)
-    total = 0
-    for r, c in zip(value.residues, ctx.crt_coeffs):
-        total += r * c
-    return total % ctx.moduli_set.dynamic_range
+    return sum(map(mul, value.residues, ctx.crt_coeffs)) % ctx.moduli_set.dynamic_range
 
 
 def rns_add(ctx: RnsContext, a: RnsNumber, b: RnsNumber) -> RnsNumber:
     """Channel-wise addition; equals to_rns((A + B) mod M)."""
-    _check_operand(ctx, a)
-    _check_operand(ctx, b)
-    residues = tuple(
-        (x + y) % m
-        for x, y, m in zip(a.residues, b.residues, ctx.moduli_set.moduli)
-    )
-    return RnsNumber(residues, ctx.moduli_set)
+    return _channelwise(ctx, add, a, b)
 
 
 def rns_sub(ctx: RnsContext, a: RnsNumber, b: RnsNumber) -> RnsNumber:
     """Channel-wise subtraction with wraparound; equals to_rns((A - B) mod M)."""
-    _check_operand(ctx, a)
-    _check_operand(ctx, b)
-    residues = tuple(
-        (x + m - y) % m
-        for x, y, m in zip(a.residues, b.residues, ctx.moduli_set.moduli)
-    )
-    return RnsNumber(residues, ctx.moduli_set)
+    return _channelwise(ctx, sub, a, b)
 
 
 def rns_mul(ctx: RnsContext, a: RnsNumber, b: RnsNumber) -> RnsNumber:
     """Channel-wise multiplication; equals to_rns((A * B) mod M)."""
-    _check_operand(ctx, a)
-    _check_operand(ctx, b)
-    residues = tuple(
-        (x * y) % m
-        for x, y, m in zip(a.residues, b.residues, ctx.moduli_set.moduli)
-    )
-    return RnsNumber(residues, ctx.moduli_set)
+    return _channelwise(ctx, mul, a, b)
 
 
 def rns_pow(ctx: RnsContext, a: RnsNumber, e: int) -> RnsNumber:
@@ -142,7 +143,4 @@ def rns_pow(ctx: RnsContext, a: RnsNumber, e: int) -> RnsNumber:
     _check_operand(ctx, a)
     if e < 0:
         raise RnsError(f"exponent must be >= 0, got {e}")
-    residues = tuple(
-        pow(x, e, m) for x, m in zip(a.residues, ctx.moduli_set.moduli)
-    )
-    return RnsNumber(residues, ctx.moduli_set)
+    return _reduced(tuple(map(pow, a.residues, repeat(e), ctx.moduli_set.moduli)), ctx.moduli_set)

@@ -1,4 +1,9 @@
+import contextlib
+import io
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rnskit.cli import main
 from rnskit.moduli import SchemeId
@@ -296,6 +301,18 @@ def test_run_fault_exits_3(capsys, tmp_path):
     assert "step 0" in err
 
 
+def test_run_program_not_utf8_exits_1(capsys, tmp_path):
+    path = tmp_path / "binary.bin"
+    path.write_bytes(b"\x7fELF\x02\x01\x01\x00\xff\xfe\xc3\x28")
+    code, out, err = invoke(
+        capsys, "run", "--program", str(path), "--moduli", "8,9,7",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("rnskit: error:")
+    assert "Traceback" not in err
+
+
 def test_run_trace_goes_to_stderr(capsys):
     code, out, err = invoke(
         capsys,
@@ -321,3 +338,123 @@ def test_markdown_rows_render():
     rows = comparison_rows([6], [SchemeId.parse("proposed3")])
     text = rows_to_markdown(rows)
     assert "(6,7,5)" in text
+
+
+# --- input limits ----------------------------------------------------------------
+
+PRIMES = [p for p in range(2, 320) if all(p % d for d in range(2, p))]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("gen", "--bits", "8192", "--count", "3"), 0),
+        (("gen", "--bits", "8193", "--count", "3"), 2),
+        (("gen", "--bits", "128", "--count", "64"), 0),
+        (("gen", "--bits", "128", "--count", "65"), 2),
+        (("compare", "--bits", "8192", "--schemes", "sm1"), 0),
+        (("compare", "--bits", "16,8193", "--schemes", "sm1"), 2),
+        (("run", "--builtin", "function2", "--moduli", "8,9,7", "--bind", "X=3,E=4096"), 0),
+        (("run", "--builtin", "function2", "--moduli", "8,9,7", "--bind", "X=3,E=4097"), 2),
+        (("convert", "--moduli", ",".join(map(str, PRIMES[:64])), "--value", "5"), 0),
+        (("convert", "--moduli", ",".join(map(str, PRIMES[:65])), "--value", "5"), 2),
+        (("convert", "--moduli", f"{2**12287 - 1},2", "--value", "5"), 0),
+        (("convert", "--moduli", f"{2**12287 + 1},2", "--value", "5"), 2),
+    ],
+)
+def test_limits_at_and_past_the_bound(capsys, argv, expected):
+    code, _, err = invoke(capsys, *argv)
+    assert code == expected, err
+    if expected == 2:
+        assert "over the limit" in err
+
+
+def test_widest_range_prints_every_value(capsys):
+    code, out, _ = invoke(
+        capsys, "convert", "--moduli", f"{2**12287 - 1},2", "--residues", f"{2**12287 - 2},1",
+    )
+    assert code == 0
+    assert out.strip() == str(2**12288 - 3)
+
+
+@pytest.mark.parametrize("count", ["3", "64"])
+def test_generated_set_at_the_limits_is_accepted_back(capsys, count):
+    code, out, _ = invoke(capsys, "gen", "--bits", "8192", "--count", count)
+    assert code == 0
+    moduli = out.splitlines()[0].removeprefix("moduli: ")
+    code, _, err = invoke(capsys, "convert", "--moduli", moduli, "--value", "1")
+    assert code == 0, err
+
+
+# --- fuzz ------------------------------------------------------------------------
+
+# the flag shapes argparse accepts per subcommand; gen and run may add --trace
+SHAPES = {
+    "gen": [["--bits", "--count"]],
+    "compare": [["--bits", "--schemes"], ["--bits", "--schemes", "--format"]],
+    "convert": [["--moduli", "--value"], ["--moduli", "--residues"]],
+    "run": [["--builtin", "--moduli", "--bind"], ["--program", "--moduli", "--bind"]],
+    "abc": [[]],
+}
+VALUES = {
+    "--bits": ["3", "16", "32", "6,10,16", "8193", "-5"],
+    "--count": ["3", "6", "2", "65"],
+    "--schemes": ["proposed3,sm1", "sm2,sm3", "proposed4", "proposed9"],
+    "--format": ["csv", "markdown", "xml"],
+    "--moduli": ["8,9,7", "42,43,41", "8,-9,7", "2,3"],
+    "--value": ["36", "0", "504", "-5"],
+    "--residues": ["4,0,1", "8,0,0", "4,0"],
+    "--builtin": ["function1", "function2", "function3"],
+    "--program": ["<program>", "<fault>", "<binary>", "<missing>"],
+    "--bind": ["X=7,Y=5,Z=3", "X=3,E=4", "X=3,E=4097", "X=3", "E=-1"],
+}
+JUNK = ["", "-", "abc", "\u00b2", "1,,2", "9" * 30, "E=", "=3", "6,9,5", "4,6,9"]
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand with one of its flag shapes, a value per flag, and maybe junk.
+
+    Three values in four are plausible for their flag, so most argvs get
+    past parsing and reach validation or a run.
+    """
+    command = draw(st.sampled_from(sorted(SHAPES)))
+    argv = [command]
+    for flag in draw(st.sampled_from(SHAPES[command])):
+        pool = VALUES[flag] if draw(st.integers(0, 3)) else JUNK
+        argv += [flag, draw(st.sampled_from(pool))]
+    if command in ("gen", "run") and draw(st.booleans()):
+        argv.append("--trace")
+    if draw(st.integers(0, 3)) == 0:
+        argv.append(draw(st.sampled_from(["--help", "--bits", "--value", *JUNK])))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def program_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "prog.txt").write_text("PROG p\nSTEP a=$X b=5 mul=IN1,IN2 emit=MUL\nEND\n")
+    (root / "fault.txt").write_text("PROG p\nSTEP emit=SUB\nEND\n")
+    (root / "binary.bin").write_bytes(b"\x7fELF\xff\xfe\xc3\x28")
+    return {
+        "<program>": str(root / "prog.txt"),
+        "<fault>": str(root / "fault.txt"),
+        "<binary>": str(root / "binary.bin"),
+        "<missing>": str(root / "missing.txt"),
+    }
+
+
+@given(argv=argvs())
+@example(argv=["gen", "--bits", "14300", "--count", "3"])
+@example(argv=["gen", "--bits", "4096", "--count", "1000"])
+@example(argv=["compare", "--bits", "30000", "--schemes", "sm3"])
+@example(argv=["run", "--builtin", "function2", "--moduli", "8,9,7", "--bind", "X=3,E=100000"])
+@example(argv=["run", "--program", "<binary>", "--moduli", "8,9,7"])
+@settings(max_examples=150, deadline=None)
+def test_main_never_raises(program_files, argv):
+    argv = [program_files.get(token, token) for token in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

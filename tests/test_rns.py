@@ -58,6 +58,12 @@ def test_forward_rejects_negative():
         to_rns(CTX, -1)
 
 
+def test_forward_rejects_non_int():
+    with pytest.raises(TypeError):
+        to_rns(CTX, 7.5)
+    assert to_rns(CTX, True).residues == (1, 1, 1)
+
+
 def test_reverse_matches_brute_force():
     assert brute_force_from_rns((8, 9, 7), (4, 0, 1)) == 36
     assert from_rns(CTX, RnsNumber((4, 0, 1), CTX.moduli_set)) == 36
@@ -76,15 +82,40 @@ def test_residue_out_of_range_rejected():
         RnsNumber((8, 0, 0), CTX.moduli_set)
 
 
+def test_non_int_residue_rejected():
+    with pytest.raises(TypeError):
+        RnsNumber((1.5, 2, 3), CTX.moduli_set)
+    assert from_rns(CTX, RnsNumber((True, 0, 0), CTX.moduli_set)) == 441
+
+
 def test_length_mismatch_rejected():
     with pytest.raises(RnsError):
         RnsNumber((1, 2), CTX.moduli_set)
 
 
-def test_context_mismatch_rejected():
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda ok, bad: rns_add(CTX, bad, ok), id="rns_add-a"),
+        pytest.param(lambda ok, bad: rns_add(CTX, ok, bad), id="rns_add-b"),
+        pytest.param(lambda ok, bad: rns_sub(CTX, bad, ok), id="rns_sub-a"),
+        pytest.param(lambda ok, bad: rns_sub(CTX, ok, bad), id="rns_sub-b"),
+        pytest.param(lambda ok, bad: rns_mul(CTX, bad, ok), id="rns_mul-a"),
+        pytest.param(lambda ok, bad: rns_mul(CTX, ok, bad), id="rns_mul-b"),
+        pytest.param(lambda ok, bad: rns_pow(CTX, bad, 2), id="rns_pow-a"),
+        pytest.param(lambda ok, bad: from_rns(CTX, bad), id="from_rns-a"),
+    ],
+)
+def test_context_mismatch_rejected(call):
     other = RnsContext(ModuliSet((5, 6, 7)))
-    with pytest.raises(RnsError):
-        rns_add(CTX, to_rns(CTX, 1), to_rns(other, 1))
+    with pytest.raises(RnsError, match="^context mismatch"):
+        call(to_rns(CTX, 1), to_rns(other, 1))
+
+
+def test_equal_sets_built_separately_mix():
+    twin = RnsContext(ModuliSet((8, 9, 7)))
+    assert twin.moduli_set is not CTX.moduli_set
+    assert from_rns(CTX, rns_add(CTX, to_rns(twin, 12), to_rns(CTX, 24))) == 36
 
 
 def test_context_rejects_non_coprime_moduli():
@@ -175,10 +206,25 @@ def test_pow_coherence(a, e):
     assert from_rns(ctx, rns_pow(ctx, to_rns(ctx, a), e)) == pow(a, e, total)
 
 
-@given(x=st.integers(min_value=0))
+@given(
+    x=st.integers(min_value=0),
+    y=st.integers(min_value=0),
+    e=st.integers(min_value=0, max_value=64),
+)
 @settings(max_examples=200)
-def test_outputs_stay_in_range(x):
-    value = to_rns(CTX, x)
-    for r, m in zip(value.residues, CTX.moduli_set.moduli):
+def test_outputs_stay_in_range(x, y, e):
+    total = CTX.moduli_set.dynamic_range
+    a, b = to_rns(CTX, x), to_rns(CTX, y)
+    for r, m in zip(a.residues, CTX.moduli_set.moduli):
         assert 0 <= r < m
-    assert 0 <= from_rns(CTX, value) < CTX.moduli_set.dynamic_range
+    assert 0 <= from_rns(CTX, a) < total
+    results = [
+        (rns_add(CTX, a, b), (x + y) % total),
+        (rns_sub(CTX, a, b), (x - y) % total),
+        (rns_mul(CTX, a, b), (x * y) % total),
+        (rns_pow(CTX, a, e), pow(x, e, total)),
+    ]
+    for result, expected in results:
+        # results skip RnsNumber's check; the public constructor must still accept them
+        assert RnsNumber(result.residues, result.moduli_set) == result
+        assert from_rns(CTX, result) == expected
