@@ -47,7 +47,7 @@ def ceil_nth_root(v: int, n: int) -> int:
 
 
 def mod_inverse(a: int, m: int) -> int:
-    """Inverse of a modulo m >= 2 via the extended Euclidean algorithm.
+    """Inverse of a modulo m >= 2.
 
     Returns y in [1, m) with (a * y) % m == 1; raises NotCoprimeError
     when gcd(a % m, m) != 1.
@@ -55,15 +55,10 @@ def mod_inverse(a: int, m: int) -> int:
     if m < 2:
         raise ValueError(f"mod_inverse requires m >= 2, got {m}")
     a %= m
-    old_r, r = a, m
-    old_s, s = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    if old_r != 1:
-        raise NotCoprimeError(f"{a} is not invertible mod {m} (gcd = {old_r})")
-    return old_s % m
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise NotCoprimeError(f"{a} is not invertible mod {m} (gcd = {gcd(a, m)})") from None
 
 
 def coprime_to_all(c: int, ms) -> bool:

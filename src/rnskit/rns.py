@@ -2,15 +2,26 @@
 
 An integer x in [0, M) is represented by its remainders against each
 modulus; addition, subtraction and multiplication act independently per
-channel, so no carry crosses channel boundaries.  Reverse conversion is
-the classic weighted sum with one precomputed coefficient per channel,
-M_i * y_i where M_i = M / m_i and y_i = M_i^-1 mod m_i.
+channel, so no carry crosses channel boundaries.
+
+Forward conversion walks a remainder tree built once per context: x is
+reduced by M, then by the product of each half of the moduli, halving
+until a node's product is at most _LEAF_BITS wide, and only then by each
+modulus.  Dividing a wide x by a few wide products and then by narrow
+moduli costs less than dividing the wide x by every narrow modulus.  A
+set no wider than _LEAF_BITS is one leaf, reduced flat: x mod M, then x
+mod each modulus.
+
+Reverse conversion is the classic weighted sum with one precomputed
+coefficient per channel, M_i * y_i where M_i = M / m_i and
+y_i = M_i^-1 mod m_i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
+from math import prod
 from operator import add, mod, mul, sub
 
 from .moduli import ModuliSet, structural_faults
@@ -29,8 +40,34 @@ __all__ = [
 ]
 
 
+# Widest node product the remainder tree reduces by its moduli directly.
+_LEAF_BITS = 1024
+
+
 class RnsError(ValueError):
     """Invalid moduli set, residue vector, or mismatched context."""
+
+
+def _remainder_tree(moduli: tuple[int, ...], product: int) -> tuple:
+    """Node (product, moduli, halves); halves is () at a leaf, else two nodes by count."""
+    if product.bit_length() <= _LEAF_BITS or len(moduli) == 1:
+        return (product, moduli, ())
+    half = len(moduli) // 2
+    left = prod(moduli[:half])
+    return (
+        product,
+        moduli,
+        (_remainder_tree(moduli[:half], left), _remainder_tree(moduli[half:], product // left)),
+    )
+
+
+def _remainders(x: int, node: tuple) -> tuple[int, ...]:
+    product, moduli, halves = node
+    x %= product
+    if halves:
+        left, right = halves
+        return _remainders(x, left) + _remainders(x, right)
+    return tuple(map(mod, repeat(x), moduli))
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,12 +75,14 @@ class RnsContext:
     """A validated moduli set plus its per-channel CRT coefficients.
 
     crt_coeffs[i] is M_i * y_i: 1 modulo the i-th modulus and 0 modulo
-    every other one.  Immutable after construction; safe to share across
-    threads.
+    every other one.  The remainder tree that to_rns walks is built here
+    too; it is left out of equality and repr.  Immutable after
+    construction; safe to share across threads.
     """
 
     moduli_set: ModuliSet
     crt_coeffs: tuple[int, ...] = field(init=False)
+    _tree: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ms = self.moduli_set.moduli
@@ -61,6 +100,7 @@ class RnsContext:
             partial = total // m
             coeffs.append(partial * mod_inverse(partial % m, m))
         object.__setattr__(self, "crt_coeffs", tuple(coeffs))
+        object.__setattr__(self, "_tree", _remainder_tree(ms, total))
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,6 +111,7 @@ class RnsNumber:
     moduli_set: ModuliSet
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "residues", tuple(self.residues))
         ms = self.moduli_set.moduli
         if len(self.residues) != len(ms):
             raise RnsError(
@@ -92,7 +133,8 @@ def _reduced(residues: tuple[int, ...], moduli_set: ModuliSet) -> RnsNumber:
 
 
 def _check_operand(ctx: RnsContext, value: RnsNumber) -> None:
-    if value.moduli_set != ctx.moduli_set:
+    # operands formed by this context share its set object; compare by value only otherwise
+    if value.moduli_set is not ctx.moduli_set and value.moduli_set != ctx.moduli_set:
         raise RnsError(
             f"context mismatch: operand built over {value.moduli_set.moduli}, "
             f"context over {ctx.moduli_set.moduli}"
@@ -113,8 +155,7 @@ def to_rns(ctx: RnsContext, x: int) -> RnsNumber:
         raise TypeError(f"value {x!r} is not an int")
     if x < 0:
         raise RnsError(f"negative values are unsupported, got {x}")
-    x %= ctx.moduli_set.dynamic_range
-    return _reduced(tuple(map(mod, repeat(x), ctx.moduli_set.moduli)), ctx.moduli_set)
+    return _reduced(_remainders(x, ctx._tree), ctx.moduli_set)
 
 
 def from_rns(ctx: RnsContext, value: RnsNumber) -> int:

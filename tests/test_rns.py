@@ -1,11 +1,13 @@
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rnskit.moduli import ModuliSet
+from rnskit.moduli import GenerationRequest, ModuliSet, find_moduli
 from rnskit.rns import (
+    _LEAF_BITS,
     RnsContext,
     RnsError,
     RnsNumber,
@@ -18,6 +20,14 @@ from rnskit.rns import (
 )
 
 CTX = RnsContext(ModuliSet((8, 9, 7)))
+
+WIDE_SETS = [
+    pytest.param(find_moduli(GenerationRequest(bits, count))[0].moduli, id=f"find_moduli-{bits}-{count}")
+    for bits, count in [(1024, 16), (2048, 24), (8192, 64)]
+] + [
+    pytest.param((67108863, 14, 5), id="unbalanced-narrow"),
+    pytest.param((2**4000, 3, 5, 7, 11, 13, 17), id="one-4000-bit-modulus"),
+]
 
 LAW_SETS = [
     (8, 9, 7),
@@ -64,6 +74,54 @@ def test_forward_rejects_non_int():
     assert to_rns(CTX, True).residues == (1, 1, 1)
 
 
+def remainder_oracle(moduli, x):
+    return tuple(x % m for m in moduli)
+
+
+@pytest.mark.parametrize("moduli", WIDE_SETS)
+def test_forward_wide_sets_match_remainders(moduli):
+    ctx = RnsContext(ModuliSet(moduli))
+    total = ctx.moduli_set.dynamic_range
+    for x in (0, 1, total - 1, total, 2 * total + 7):
+        assert to_rns(ctx, x).residues == remainder_oracle(moduli, x)
+
+
+@pytest.mark.parametrize("moduli", WIDE_SETS)
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_forward_wide_sets_random(moduli, data):
+    ctx = RnsContext(ModuliSet(moduli))
+    x = data.draw(st.integers(min_value=0, max_value=4 * ctx.moduli_set.dynamic_range - 1))
+    assert to_rns(ctx, x).residues == remainder_oracle(moduli, x)
+
+
+def tree_leaves(node):
+    product, moduli, halves = node
+    assert product == prod(moduli)
+    if not halves:
+        return [moduli]
+    return [leaf for half in halves for leaf in tree_leaves(half)]
+
+
+@pytest.mark.parametrize("moduli", WIDE_SETS + LAW_SETS)
+def test_remainder_tree_shape(moduli):
+    ctx = RnsContext(ModuliSet(moduli))
+    leaves = tree_leaves(ctx._tree)
+    assert ctx._tree[0] == ctx.moduli_set.dynamic_range
+    assert tuple(m for leaf in leaves for m in leaf) == tuple(moduli)
+    for leaf in leaves:
+        assert len(leaf) == 1 or prod(leaf).bit_length() <= _LEAF_BITS
+    if ctx.moduli_set.dynamic_range.bit_length() <= _LEAF_BITS:
+        assert leaves == [tuple(moduli)]
+
+
+def test_context_equality_ignores_the_tree():
+    moduli = find_moduli(GenerationRequest(2048, 24))[0].moduli
+    a, b = RnsContext(ModuliSet(moduli)), RnsContext(ModuliSet(moduli))
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == f"RnsContext(moduli_set={a.moduli_set!r}, crt_coeffs={a.crt_coeffs!r})"
+
+
 def test_reverse_matches_brute_force():
     assert brute_force_from_rns((8, 9, 7), (4, 0, 1)) == 36
     assert from_rns(CTX, RnsNumber((4, 0, 1), CTX.moduli_set)) == 36
@@ -86,6 +144,13 @@ def test_non_int_residue_rejected():
     with pytest.raises(TypeError):
         RnsNumber((1.5, 2, 3), CTX.moduli_set)
     assert from_rns(CTX, RnsNumber((True, 0, 0), CTX.moduli_set)) == 441
+
+
+def test_residues_given_as_list_become_a_tuple():
+    number = RnsNumber([4, 0, 1], CTX.moduli_set)
+    assert number.residues == (4, 0, 1)
+    assert number == to_rns(CTX, 36)
+    assert hash(number) == hash(to_rns(CTX, 36))
 
 
 def test_length_mismatch_rejected():
