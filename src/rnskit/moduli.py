@@ -14,8 +14,9 @@ the sum of the moduli's binary bit-lengths, and lower is better.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
-from .numbers import bit_length, ceil_nth_root, coprime_to_all, gcd, parse_decimal
+from .numbers import bit_length, ceil_nth_root, gcd, parse_decimal
 
 __all__ = [
     "ModuliSet",
@@ -60,10 +61,7 @@ class ModuliSet:
             if isinstance(m, bool) or not isinstance(m, int):
                 raise TypeError(f"modulus {m!r} is not an int")
         object.__setattr__(self, "moduli", ms)
-        prod = 1
-        for m in ms:
-            prod *= m
-        object.__setattr__(self, "dynamic_range", prod)
+        object.__setattr__(self, "dynamic_range", prod(ms))
 
     def __len__(self) -> int:
         return len(self.moduli)
@@ -213,7 +211,8 @@ def find_moduli(req: GenerationRequest) -> tuple[ModuliSet, GenerationTrace]:
         k = (target + product - 1) // product
         k_root = ceil_nth_root(k, req.cardinality - 2 - j)
         candidate = max(k_root, 2)
-        while not coprime_to_all(candidate, picked):
+        # coprime to every pick exactly when coprime to their product
+        while gcd(candidate, product) != 1:
             candidate += 1
         extras.append(ExtraChoice(k=k, k_root=k_root, chosen=candidate))
         picked.append(candidate)
@@ -246,10 +245,8 @@ def baseline(scheme: SchemeId, bits: int) -> ModuliSet:
     n = 1
     while True:
         ms = _family_member(scheme.family, n)
-        if min(ms) >= 2:
-            prod = ms[0] * ms[1] * ms[2]
-            if prod >= target:
-                return ModuliSet(ms)
+        if min(ms) >= 2 and prod(ms) >= target:
+            return ModuliSet(ms)
         n += 1
 
 

@@ -27,7 +27,10 @@ class NotCoprimeError(ValueError):
 def ceil_nth_root(v: int, n: int) -> int:
     """Smallest r with r**n >= v, i.e. the ceiling of the real n-th root.
 
-    Requires v >= 1 and n >= 1.  Binary search on exact integers.
+    Requires v >= 1 and n >= 1.  Exact integer Newton iteration from above,
+    from x = 2**ceil(bitlen/n) > v**(1/n): while x exceeds s, the floor of
+    the real root, the step is below x and, by AM-GM, at least s; at x = s
+    it is at least x.  So the loop stops at s, and the answer is s or s + 1.
     """
     if v < 1:
         raise ValueError(f"ceil_nth_root requires v >= 1, got {v}")
@@ -35,15 +38,10 @@ def ceil_nth_root(v: int, n: int) -> int:
         raise ValueError(f"ceil_nth_root requires n >= 1, got {n}")
     if n == 1:
         return v
-    # 2**ceil(bitlen/n) raised to the n-th is >= 2**bitlen > v
-    lo, hi = 1, 1 << ((v.bit_length() + n - 1) // n)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**n >= v:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    x = 1 << ((v.bit_length() + n - 1) // n)
+    while (y := ((n - 1) * x + v // x ** (n - 1)) // n) < x:
+        x = y
+    return x if x**n >= v else x + 1
 
 
 def mod_inverse(a: int, m: int) -> int:
@@ -62,7 +60,10 @@ def mod_inverse(a: int, m: int) -> int:
 
 
 def coprime_to_all(c: int, ms) -> bool:
-    """True iff gcd(c, m) == 1 for every m in ms."""
+    """True iff gcd(c, m) == 1 for every m in ms.
+
+    Public helper only: find_moduli takes one gcd against the picks' product.
+    """
     return all(gcd(c, m) == 1 for m in ms)
 
 

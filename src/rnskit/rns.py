@@ -25,7 +25,7 @@ from math import prod
 from operator import add, mod, mul, sub
 
 from .moduli import ModuliSet, structural_faults
-from .numbers import gcd, mod_inverse
+from .numbers import NotCoprimeError, gcd, mod_inverse
 
 __all__ = [
     "RnsContext",
@@ -88,17 +88,18 @@ class RnsContext:
         ms = self.moduli_set.moduli
         if not ms:
             raise RnsError("moduli set is empty")
-        small, pairs = structural_faults(ms)
-        if small:
-            raise RnsError(f"modulus {small[0]} < 2")
-        if pairs:
-            a, b = pairs[0]
-            raise RnsError(f"moduli {a} and {b} are not coprime (gcd = {gcd(a, b)})")
+        for m in ms:
+            if m < 2:
+                raise RnsError(f"modulus {m} < 2")
         total = self.moduli_set.dynamic_range
         coeffs = []
         for m in ms:
             partial = total // m
-            coeffs.append(partial * mod_inverse(partial % m, m))
+            try:
+                coeffs.append(partial * mod_inverse(partial % m, m))
+            except NotCoprimeError:
+                a, b = structural_faults(ms)[1][0]
+                raise RnsError(f"moduli {a} and {b} are not coprime (gcd = {gcd(a, b)})") from None
         object.__setattr__(self, "crt_coeffs", tuple(coeffs))
         object.__setattr__(self, "_tree", _remainder_tree(ms, total))
 

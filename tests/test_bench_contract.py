@@ -45,6 +45,38 @@ for name, prog in cases:
 print(json.dumps(report))
 """
 
+# Runs in a child process: one compare call before Tracer.install, so the
+# parser that main caches predates the wrappers, then each argv once, traced.
+TRACED_COMPARE = """
+import contextlib
+import io
+import json
+import sys
+
+import rnskit
+import rnskit.cli
+from tracing import Tracer
+
+argvs = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [rnskit.cli.main(argvs[0])]
+    tracer = Tracer(keep_spans=False)
+    tracer.install(rnskit)
+    codes += [rnskit.cli.main(argv) for argv in argvs]
+print(json.dumps({"codes": codes, "calls": tracer.calls}))
+"""
+
+COMPARE_ARGVS = [
+    ["compare", "--bits", "16,40,333", "--schemes", "proposed3,sm2,proposed6"],
+    ["compare", "--bits", "64", "--schemes", "proposed5,sm1,proposed4", "--format", "markdown"],
+]
+
+
+def child_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(BENCHMARKS)])
+    return env
+
 
 def test_every_wrapped_function_exists():
     sys.path.insert(0, str(BENCHMARKS))
@@ -58,11 +90,9 @@ def test_every_wrapped_function_exists():
 
 
 def test_traced_counts_match_program_fields():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(BENCHMARKS)])
     proc = subprocess.run(
         [sys.executable, "-c", TRACED_PROGRAMS],
-        capture_output=True, text=True, env=env, cwd=ROOT, timeout=60,
+        capture_output=True, text=True, env=child_env(), cwd=ROOT, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
@@ -70,3 +100,31 @@ def test_traced_counts_match_program_fields():
     for name, seen, expected in report:
         assert expected["datapath.sim_cycles"] > 0, name
         assert seen == expected, name
+
+
+def test_traced_compare_counts_with_the_parser_built_before_install():
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_COMPARE, json.dumps(COMPARE_ARGVS)],
+        capture_output=True, text=True, env=child_env(), cwd=ROOT, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["codes"] == [0, 0, 0]
+    generated = roots = 0
+    for argv in COMPARE_ARGVS:
+        widths = len(argv[argv.index("--bits") + 1].split(","))
+        cardinalities = [
+            int(label[len("proposed"):])
+            for label in argv[argv.index("--schemes") + 1].split(",")
+            if label.startswith("proposed")
+        ]
+        generated += widths * len(cardinalities)
+        # one root for the center, then one per slot beyond the triple
+        roots += widths * sum(t - 2 for t in cardinalities)
+    calls = report["calls"]
+    assert calls["cli.main"] == len(COMPARE_ARGVS)
+    assert calls["tables.comparison_rows"] == len(COMPARE_ARGVS)
+    assert calls.get("tables.rows_to_csv", 0) + calls.get("tables.rows_to_markdown", 0) == len(COMPARE_ARGVS)
+    assert calls["moduli.find_moduli"] == generated
+    assert calls["numbers.ceil_nth_root"] == roots
+    assert "numbers.coprime_to_all" not in calls

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rnskit.cli import main
+from rnskit.cli import _build_parser, main
 from rnskit.moduli import SchemeId
 from rnskit.tables import comparison_rows, rows_from_csv, rows_to_csv, rows_to_markdown
 
@@ -332,6 +332,39 @@ def test_run_missing_function2_exponent_exits_1(capsys):
     )
     assert code == 1
     assert "E" in err
+
+
+# --- one parser per process ------------------------------------------------------
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_consecutive_runs_keep_only_their_own_bindings(capsys):
+    run = ("run", "--builtin", "function1", "--moduli", "8,9,7")
+    assert invoke(capsys, *run, "--bind", "X=7,Y=5", "--bind", "Z=3") == (0, "36\n", "")
+    assert invoke(capsys, *run, "--bind", "X=1,Y=2,Z=4") == (0, "12\n", "")
+    code, out, err = invoke(capsys, *run, "--bind", "X=1,Y=2")
+    assert (code, out) == (1, "")
+    assert "Z" in err
+
+
+def test_compare_format_does_not_carry_over(capsys):
+    compare = ("compare", "--bits", "6,16", "--schemes", "proposed3,sm1")
+    code, out, _ = invoke(capsys, *compare, "--format", "markdown")
+    assert code == 0 and out.startswith("| N |")
+    code, out, _ = invoke(capsys, *compare)
+    assert code == 0
+    assert out.splitlines()[0] == "bits,scheme,cardinality,moduli,bit_cost,note"
+
+
+def test_bad_flag_then_valid_call(capsys):
+    code, _, err = invoke(capsys, "gen", "--bits", "32", "--count", "6", "--nope")
+    assert code == 1 and "unrecognized arguments" in err
+    code, out, _ = invoke(capsys, "gen", "--bits", "32", "--count", "6")
+    assert code == 0
+    assert "moduli: 42,43,41,47,37,53" in out
 
 
 def test_markdown_rows_render():

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from rnskit.moduli import (
     CardinalityError,
+    ExtraChoice,
     GenerationRequest,
+    GenerationTrace,
     ModuliSet,
     RangeTooSmallError,
     SchemeId,
@@ -217,6 +219,67 @@ def test_each_extra_is_minimal(cardinality):
             earlier = moduli_set.moduli[: 3 + i]
             for c in range(max(extra.k_root, 2), extra.chosen):
                 assert not coprime_to_all(c, earlier)
+
+
+def bisection_ceil_root(v, n):
+    """The binary-search root, as in tests/test_numbers.py."""
+    if n == 1:
+        return v
+    lo, hi = 1, 1 << ((v.bit_length() + n - 1) // n)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**n >= v:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def coprime_pick_by_pick(c, picked):
+    # coprime_to_all's check as a plain loop, without the generator's call overhead
+    for m in picked:
+        if gcd(c, m) != 1:
+            return False
+    return True
+
+
+def reference_generator(bits, cardinality):
+    """find_moduli as first written: bisection roots, each candidate checked pick by pick.
+
+    None where the center would force a modulus below 2.
+    """
+    target = (1 << bits) - 1
+    x = bisection_ceil_root(target, cardinality)
+    center = x + x % 2
+    if cardinality == 3:
+        while center * (center + 1) * (center - 1) < target:
+            center += 2
+    if center - 1 < 2:
+        return None
+    picked = [center, center + 1, center - 1]
+    product = center * (center + 1) * (center - 1)
+    extras = []
+    for j in range(1, cardinality - 2):
+        k = -(-target // product)
+        k_root = bisection_ceil_root(k, cardinality - 2 - j)
+        candidate = max(k_root, 2)
+        while not coprime_pick_by_pick(candidate, picked):
+            candidate += 1
+        extras.append(ExtraChoice(k, k_root, candidate))
+        picked.append(candidate)
+        product *= candidate
+    return ModuliSet(tuple(picked)), GenerationTrace(x, center, tuple(extras))
+
+
+def test_generator_matches_reference_bit_for_bit():
+    cells = [(bits, t) for bits in range(2, 301) for t in range(3, 25)]
+    for bits, t in cells + [(4096, 32), (8192, 3), (8192, 64)]:
+        expected = reference_generator(bits, t)
+        if expected is None:
+            with pytest.raises(RangeTooSmallError):
+                gen(bits, t)
+        else:
+            assert gen(bits, t) == expected, (bits, t)
 
 
 def test_generation_is_deterministic():

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rnskit.numbers import (
@@ -100,15 +100,58 @@ def test_root_rejects_bad_domain():
         ceil_nth_root(5, 0)
 
 
-@given(
-    v=st.integers(min_value=1, max_value=10**6),
-    n=st.integers(min_value=1, max_value=8),
+def bisection_ceil_root(v: int, n: int) -> int:
+    """Reference oracle: the binary search ceil_nth_root used before Newton."""
+    if n == 1:
+        return v
+    lo, hi = 1, 1 << ((v.bit_length() + n - 1) // n)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**n >= v:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+# v up to 10**6 as before, or of a width drawn uniformly from 1 to 8192 bits
+root_values = st.one_of(
+    st.integers(min_value=1, max_value=10**6),
+    st.integers(min_value=1, max_value=8192).flatmap(
+        lambda width: st.integers(min_value=1 << (width - 1), max_value=(1 << width) - 1)
+    ),
 )
+WIDE_POWERS = [(2**683 - 1, 3), (3**40, 64), (2**128 - 1, 64), (10**500 + 7, 2)]
+
+
+def at_powers(test):
+    """@example at r**n - 1, r**n and r**n + 1 for each wide (r, n)."""
+    for r, n in WIDE_POWERS:
+        for delta in (-1, 0, 1):
+            test = example(v=r**n + delta, n=n)(test)
+    return test
+
+
+@at_powers
+@given(v=root_values, n=st.integers(min_value=1, max_value=64))
 @settings(max_examples=400)
 def test_root_bracket_property(v, n):
     r = ceil_nth_root(v, n)
     assert naive_power(r, n) >= v
     assert r == 1 or naive_power(r - 1, n) < v
+
+
+@at_powers
+@given(v=root_values, n=st.integers(min_value=1, max_value=64))
+@settings(max_examples=200)
+def test_root_matches_bisection(v, n):
+    assert ceil_nth_root(v, n) == bisection_ceil_root(v, n)
+
+
+def test_root_matches_bisection_on_every_small_value():
+    for n in range(1, 13):
+        for v in range(1, 3000):
+            assert ceil_nth_root(v, n) == bisection_ceil_root(v, n), (v, n)
 
 
 # --- mod_inverse ----------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rnskit import rns
 from rnskit.moduli import GenerationRequest, ModuliSet, find_moduli
 from rnskit.rns import (
     _LEAF_BITS,
@@ -206,6 +207,30 @@ def test_context_error_messages():
         RnsContext(ModuliSet((3, 1, 0)))
     with pytest.raises(RnsError, match=r"^moduli 6 and 9 are not coprime \(gcd = 3\)$"):
         RnsContext(ModuliSet((5, 6, 9, 4)))
+    # the small-modulus check wins over a non-coprime pair
+    with pytest.raises(RnsError, match=r"^modulus 1 < 2$"):
+        RnsContext(ModuliSet((6, 9, 1)))
+    with pytest.raises(RnsError, match=r"^moduli 7 and 7 are not coprime \(gcd = 7\)$"):
+        RnsContext(ModuliSet((7, 7, 9)))
+
+
+def test_wide_set_names_exactly_the_conflicting_pair():
+    moduli = find_moduli(GenerationRequest(8192, 64))[0].moduli
+    first = moduli[0]
+    # the first modulus is the even center; every other one is odd and coprime to it
+    bad = moduli[:-1] + (2 * first,)
+    message = f"^moduli {first} and {2 * first} are not coprime \\(gcd = {first}\\)$"
+    with pytest.raises(RnsError, match=message):
+        RnsContext(ModuliSet(bad))
+
+
+def test_valid_context_skips_the_pairwise_scan(monkeypatch):
+    def forbidden(ms):
+        raise AssertionError("pairwise scan ran on a coprime set")
+
+    monkeypatch.setattr(rns, "structural_faults", forbidden)
+    moduli_set = find_moduli(GenerationRequest(1024, 16))[0]
+    assert len(RnsContext(moduli_set).crt_coeffs) == 16
 
 
 # --- channel arithmetic --------------------------------------------------------------
