@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rnskit import datapath
+from rnskit import cli, datapath
 from rnskit.datapath import (
     DatapathState,
     Microprogram,
@@ -21,7 +21,7 @@ from rnskit.datapath import (
     step,
 )
 from rnskit.moduli import ModuliSet
-from rnskit.rns import RnsContext, to_rns
+from rnskit.rns import RnsContext, from_rns, rns_add, rns_mul, rns_sub, to_rns
 
 CTX = RnsContext(ModuliSet((8, 9, 7)))
 
@@ -114,6 +114,48 @@ def test_function2_zero_exponent():
 def test_function2_first_power():
     outputs, _ = run(CTX, builtin_function2(1), {"X": 5})
     assert outputs == [5]
+
+
+def _fresh_function1():
+    return Microprogram(
+        name="function1",
+        steps=(
+            Step(inject_a="X", inject_b="Y", add_l=Source.IN1, add_r=Source.IN2),
+            Step(inject_b="Z", mul_l=Source.ADD, mul_r=Source.IN2),
+            Step(emit=Source.MUL),
+        ),
+    )
+
+
+def _fresh_function2(e):
+    if e == 0:
+        steps = [Step(inject_a=1, emit=Source.IN1)]
+    elif e == 1:
+        steps = [Step(inject_a="X", emit=Source.IN1)]
+    else:
+        steps = [Step(inject_a="X", inject_b="X"), Step(mul_l=Source.IN1, mul_r=Source.IN2)]
+        steps += [Step(mul_l=Source.MUL, mul_r=Source.IN1) for _ in range(e - 2)]
+        steps.append(Step(emit=Source.MUL))
+    return Microprogram(name="function2", steps=tuple(steps))
+
+
+@pytest.mark.parametrize("e", [*range(41), cli.MAX_EXPONENT])
+def test_shared_step_function2_equals_fresh_build(e):
+    prog = builtin_function2(e)
+    assert prog == _fresh_function2(e)
+    assert len(prog.steps) == (1 if e < 2 else e + 1)
+    assert parse_program(render_program(prog)) == prog
+    assert builtin_function2(e) == prog
+
+
+def test_shared_function1_equals_fresh_build():
+    assert builtin_function1() == _fresh_function1()
+    assert builtin_function1() == builtin_function1()
+
+
+def test_function2_negative_exponent_rejected():
+    with pytest.raises(ValueError, match="exponent must be >= 0, got -1"):
+        builtin_function2(-1)
 
 
 def test_unbound_placeholder_names_it():
@@ -300,6 +342,17 @@ def test_parse_value_takes_plain_decimals_only(text):
     assert exc.value.diagnostics == [(2, f"bad unsigned decimal {text!r}")]
 
 
+def test_parse_tab_after_step_keyword():
+    prog = parse_program("PROG p\nSTEP\ta=1 emit=IN1\nEND\n")
+    assert prog.steps == (Step(inject_a=1, emit=Source.IN1),)
+
+
+def test_parse_other_keyword_keeps_its_line_numbered_diagnostic():
+    with pytest.raises(ProgramParseError) as exc:
+        parse_program("PROG p\nSTEP a=1\nSTEPS\ta=2\nEND\n")
+    assert exc.value.diagnostics == [(3, "expected STEP line, got 'STEPS'")]
+
+
 def test_parse_missing_header():
     with pytest.raises(ProgramParseError) as exc:
         parse_program("STEP a=1\nEND\n")
@@ -330,13 +383,13 @@ _select_pairs = st.one_of(
 
 
 @st.composite
-def _steps(draw):
+def _steps(draw, injections=_injections):
     add = draw(_select_pairs)
     sub = draw(_select_pairs)
     mul = draw(_select_pairs)
     return Step(
-        inject_a=draw(_injections),
-        inject_b=draw(_injections),
+        inject_a=draw(injections),
+        inject_b=draw(injections),
         add_l=add[0], add_r=add[1],
         sub_l=sub[0], sub_r=sub[1],
         mul_l=mul[0], mul_r=mul[1],
@@ -352,3 +405,154 @@ def _steps(draw):
 def test_render_parse_roundtrip_property(name, steps):
     prog = Microprogram(name=name, steps=tuple(steps))
     assert parse_program(render_program(prog)) == prog
+
+
+# --- parity with the reference interpreter -------------------------------------
+#
+# The interpreter as it stood before step lost its per-call closure, input
+# tuple and update dict, kept verbatim as the reference semantics.
+
+
+def _reference_step(ctx, state, s, index=None):
+    latches = state.latches
+    for value, latch in ((s.inject_a, Source.IN1), (s.inject_b, Source.IN2)):
+        if value is None:
+            continue
+        if isinstance(value, str):
+            try:
+                value = state.bindings[value]
+            except KeyError:
+                raise UnboundPlaceholderError(value) from None
+        latches[latch] = to_rns(ctx, value)
+
+    def fetch(src):
+        try:
+            return latches[src]
+        except KeyError:
+            raise RunFault(index, src) from None
+
+    updates = {}
+    if s.add_l is not Source.NONE:
+        updates[Source.ADD] = rns_add(ctx, fetch(s.add_l), fetch(s.add_r))
+    if s.sub_l is not Source.NONE:
+        updates[Source.SUB] = rns_sub(ctx, fetch(s.sub_l), fetch(s.sub_r))
+    if s.mul_l is not Source.NONE:
+        updates[Source.MUL] = rns_mul(ctx, fetch(s.mul_l), fetch(s.mul_r))
+    latches.update(updates)
+
+    if s.emit is not Source.NONE:
+        state.outputs.append(from_rns(ctx, fetch(s.emit)))
+    return state
+
+
+def _reference_run(ctx, prog, bindings=None):
+    bindings = bindings or {}
+    for s in prog.steps:
+        for label, name in (("a", s.inject_a), ("b", s.inject_b)):
+            if isinstance(name, str):
+                if name not in bindings:
+                    raise UnboundPlaceholderError(name)
+                datapath._check_unsigned(label, bindings[name])
+    state = DatapathState(bindings=bindings)
+    trace = []
+    for i, s in enumerate(prog.steps):
+        _reference_step(ctx, state, s, index=i)
+        trace.append(dict(state.latches))
+    return list(state.outputs), trace
+
+
+def _outcome(call):
+    """The result, or the fault with every field a caller can read."""
+    try:
+        return "ok", call()
+    except (RunFault, UnboundPlaceholderError, ValueError) as exc:
+        fields = (
+            getattr(exc, "step_index", None),
+            getattr(exc, "source", None),
+            getattr(exc, "name", None),
+        )
+        return "fault", type(exc), fields, str(exc)
+
+
+def _ran(run_fn, ctx, prog, bindings):
+    """The outcome of a run, with the latch order of every snapshot."""
+
+    def call():
+        outputs, trace = run_fn(ctx, prog, dict(bindings))
+        return outputs, [list(snapshot.items()) for snapshot in trace]
+
+    return _outcome(call)
+
+
+def _stepped(step_fn, ctx, prog, bindings):
+    """Step through prog directly; the outcome and the state it leaves."""
+    state = DatapathState(bindings=dict(bindings))
+
+    def steps():
+        for i, s in enumerate(prog.steps):
+            step_fn(ctx, state, s, i)
+
+    return _outcome(steps), list(state.latches.items()), state.outputs
+
+
+_PARITY_CONTEXTS = (CTX, RnsContext(ModuliSet((42, 43, 41, 47, 37, 53))))
+_NAMES = ("X", "Y", "Z")
+# Writes all five latches, so the steps after it read no undefined latch.
+_PRIMER = Step(
+    inject_a=3, inject_b=5,
+    add_l=Source.IN1, add_r=Source.IN2,
+    sub_l=Source.IN1, sub_r=Source.IN2,
+    mul_l=Source.IN1, mul_r=Source.IN2,
+)
+
+
+@st.composite
+def _parity_cases(draw):
+    injections = st.one_of(st.none(), st.integers(0, 10**12), st.sampled_from(_NAMES))
+    steps = draw(st.lists(_steps(injections), max_size=6))
+    if draw(st.booleans()):
+        steps.insert(0, _PRIMER)
+    # a placeholder may be left out, and a bound value may be negative
+    left_out = draw(st.sets(st.sampled_from(_NAMES), max_size=2))
+    bindings = {name: draw(st.integers(-1, 10**12)) for name in _NAMES if name not in left_out}
+    ctx = draw(st.sampled_from(_PARITY_CONTEXTS))
+    return ctx, Microprogram(name="parity", steps=tuple(steps)), bindings
+
+
+@given(_parity_cases())
+@settings(max_examples=200)
+def test_run_matches_reference_interpreter(case):
+    ctx, prog, bindings = case
+    assert _ran(run, ctx, prog, bindings) == _ran(_reference_run, ctx, prog, bindings)
+
+
+@given(_parity_cases())
+@settings(max_examples=200)
+def test_step_matches_reference_interpreter(case):
+    ctx, prog, bindings = case
+    assert _stepped(step, ctx, prog, bindings) == _stepped(_reference_step, ctx, prog, bindings)
+
+
+@pytest.mark.parametrize("unit", ["add", "sub", "mul"])
+@pytest.mark.parametrize("side", ["l", "r"])
+def test_fault_in_each_unit_position_latches_nothing(unit, side):
+    # IN1 and MUL are written; the faulting read is SUB in one position
+    selects = {f"{u}_{x}": Source.IN1 for u in ("add", "sub", "mul") for x in "lr"}
+    selects[f"{unit}_{side}"] = Source.SUB
+    state = DatapathState(bindings={"X": 4})
+    state.latches[Source.MUL] = to_rns(CTX, 9)
+    with pytest.raises(RunFault) as exc:
+        step(CTX, state, Step(inject_a="X", inject_b=6, **selects), index=2)
+    assert (exc.value.step_index, exc.value.source) == (2, Source.SUB)
+    assert state.latches == {
+        Source.MUL: to_rns(CTX, 9), Source.IN1: to_rns(CTX, 4), Source.IN2: to_rns(CTX, 6),
+    }
+    assert state.outputs == []
+
+
+def test_unbound_second_placeholder_leaves_the_first_injection():
+    state = DatapathState(bindings={"X": 4})
+    with pytest.raises(UnboundPlaceholderError) as exc:
+        step(CTX, state, Step(inject_a="X", inject_b="Y", add_l=Source.IN1, add_r=Source.IN1))
+    assert exc.value.name == "Y"
+    assert state.latches == {Source.IN1: to_rns(CTX, 4)}
