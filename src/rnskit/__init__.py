@@ -4,63 +4,18 @@ Bit-efficient moduli-set generation around an even pivot, forward/reverse
 conversion with carry-free channel arithmetic, and a microprogrammed
 simulator of a reconfigurable residue datapath, plus a CLI that
 regenerates the reference comparison tables.
+
+The package root re-exports each module's ``__all__``; those lists are
+the one declaration of the public API.
 """
 
-from .numbers import (
-    NotCoprimeError,
-    bit_length,
-    ceil_nth_root,
-    coprime_to_all,
-    gcd,
-    mod_inverse,
-)
-from .moduli import (
-    CardinalityError,
-    ExtraChoice,
-    GenerationRequest,
-    GenerationTrace,
-    ModuliSet,
-    RangeTooSmallError,
-    SchemeId,
-    ValidationReport,
-    baseline,
-    bit_cost,
-    find_moduli,
-    validate,
-)
-from .rns import (
-    RnsContext,
-    RnsError,
-    RnsNumber,
-    from_rns,
-    rns_add,
-    rns_mul,
-    rns_pow,
-    rns_sub,
-    to_rns,
-)
-from .datapath import (
-    DatapathState,
-    Microprogram,
-    ProgramParseError,
-    RunFault,
-    Source,
-    Step,
-    UnboundPlaceholderError,
-    builtin_function1,
-    builtin_function2,
-    parse_program,
-    render_program,
-    run,
-    step,
-)
-from .tables import (
-    ComparisonRow,
-    comparison_row,
-    comparison_rows,
-    rows_from_csv,
-    rows_to_csv,
-    rows_to_markdown,
-)
+from . import datapath, moduli, numbers, rns, tables
+from .numbers import *  # noqa: F401,F403
+from .moduli import *  # noqa: F401,F403
+from .rns import *  # noqa: F401,F403
+from .datapath import *  # noqa: F401,F403
+from .tables import *  # noqa: F401,F403
+
+__all__ = [*numbers.__all__, *moduli.__all__, *rns.__all__, *datapath.__all__, *tables.__all__]
 
 __version__ = "0.1.0"

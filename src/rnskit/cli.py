@@ -126,7 +126,7 @@ def cmd_compare(args) -> int:
             scheme = SchemeId.parse(label)
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
-        if scheme.family == "proposed" and not 3 <= scheme.cardinality <= 6:
+        if scheme.family == "proposed" and scheme.cardinality > 6:
             raise _UsageError(f"unknown scheme {label!r}")
         schemes.append(scheme)
     if not schemes:
@@ -181,15 +181,12 @@ def _print_trace(trace) -> None:
 
 def cmd_run(args) -> int:
     bindings = _bindings(args.bind or [])
-    if args.builtin is not None:
-        if args.builtin == "function1":
-            prog = builtin_function1()
-        elif args.builtin == "function2":
-            if "E" not in bindings:
-                raise _UsageError("function2 needs a binding for E (the exponent)")
-            prog = builtin_function2(_at_most(bindings.pop("E"), MAX_EXPONENT, "exponent E"))
-        else:
-            raise _UsageError(f"unknown builtin {args.builtin!r}")
+    if args.builtin == "function1":
+        prog = builtin_function1()
+    elif args.builtin == "function2":
+        if "E" not in bindings:
+            raise _UsageError("function2 needs a binding for E (the exponent)")
+        prog = builtin_function2(_at_most(bindings.pop("E"), MAX_EXPONENT, "exponent E"))
     else:
         try:
             text = Path(args.program).read_text(encoding="utf-8")
@@ -235,7 +232,9 @@ def _build_parser() -> _Parser:
 
     p_run = sub.add_parser("run", help="run a microprogram on the datapath")
     source = p_run.add_mutually_exclusive_group(required=True)
-    source.add_argument("--builtin", help="function1 or function2")
+    source.add_argument(
+        "--builtin", choices=("function1", "function2"), help="function1 or function2"
+    )
     source.add_argument("--program", help="path to a program text file")
     p_run.add_argument("--moduli", required=True, help="comma-separated moduli")
     p_run.add_argument(
@@ -253,15 +252,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, UnboundPlaceholderError, OSError) as exc:
         print(f"rnskit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ProgramParseError as exc:
         for number, message in exc.diagnostics:
             print(f"rnskit: parse error: line {number}: {message}", file=sys.stderr)
-        return EXIT_USAGE
-    except UnboundPlaceholderError as exc:
-        print(f"rnskit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (CardinalityError, RangeTooSmallError, RnsError, _LimitError) as exc:
         print(f"rnskit: validation error: {exc}", file=sys.stderr)
@@ -269,9 +265,6 @@ def main(argv=None) -> int:
     except RunFault as exc:
         print(f"rnskit: run fault: {exc}", file=sys.stderr)
         return EXIT_RUN_FAULT
-    except OSError as exc:
-        print(f"rnskit: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 def console_main() -> None:

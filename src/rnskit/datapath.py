@@ -143,7 +143,8 @@ class Microprogram:
     steps: tuple[Step, ...]
 
     def __post_init__(self) -> None:
-        if not self.name or any(ch.isspace() for ch in self.name):
+        # a non-empty token is exactly the one piece that split() leaves
+        if self.name.split() != [self.name]:
             raise ValueError(f"program name must be a non-empty token, got {self.name!r}")
         object.__setattr__(self, "steps", tuple(self.steps))
 
@@ -277,17 +278,23 @@ def builtin_function2(e: int) -> Microprogram:
 # unit is idle.  Lines starting with '#' are comments.
 
 _SOURCE_TOKENS = {s.value: s for s in Source if s is not Source.NONE}
-_STEP_KEYS = ("a", "b", "add", "sub", "mul", "emit")
+# field key -> the Step attributes it sets
+_STEP_FIELDS = {
+    "a": ("inject_a",),
+    "b": ("inject_b",),
+    "add": ("add_l", "add_r"),
+    "sub": ("sub_l", "sub_r"),
+    "mul": ("mul_l", "mul_r"),
+    "emit": ("emit",),
+}
 
 
 def _parse_value(text: str):
+    # Step checks the identifier and the sign; this only reads the token
     if text.startswith("$"):
-        name = text[1:]
-        if not _IDENT.match(name):
-            raise ValueError(f"bad placeholder {text!r}")
-        return name
+        return text[1:]
     value = parse_decimal(text)
-    if value is None or value < 0:
+    if value is None:
         raise ValueError(f"bad unsigned decimal {text!r}")
     return value
 
@@ -300,27 +307,23 @@ def _parse_source(text: str) -> Source:
 
 
 def _parse_step_line(tokens: list[str]) -> Step:
-    fields: dict[str, str] = {}
-    for token in tokens:
-        key, sep, value = token.partition("=")
-        if not sep or key not in _STEP_KEYS:
-            raise ValueError(f"malformed field {token!r}")
-        if key in fields:
-            raise ValueError(f"duplicate field {key!r}")
-        fields[key] = value
     kwargs: dict = {}
-    for key in ("a", "b"):
-        if key in fields:
-            kwargs[f"inject_{key}"] = _parse_value(fields[key])
-    for key in ("add", "sub", "mul"):
-        if key in fields:
-            parts = fields[key].split(",")
+    for token in tokens:
+        key, sep, text = token.partition("=")
+        attrs = _STEP_FIELDS.get(key) if sep else None
+        if attrs is None:
+            raise ValueError(f"malformed field {token!r}")
+        if attrs[0] in kwargs:
+            raise ValueError(f"duplicate field {key!r}")
+        if key in ("a", "b"):
+            kwargs[attrs[0]] = _parse_value(text)
+        elif key == "emit":
+            kwargs["emit"] = _parse_source(text)
+        else:
+            parts = text.split(",")
             if len(parts) != 2:
                 raise ValueError(f"field {key!r} needs exactly two sources")
-            kwargs[f"{key}_l"] = _parse_source(parts[0])
-            kwargs[f"{key}_r"] = _parse_source(parts[1])
-    if "emit" in fields:
-        kwargs["emit"] = _parse_source(fields["emit"])
+            kwargs.update(zip(attrs, map(_parse_source, parts)))
     return Step(**kwargs)
 
 

@@ -14,9 +14,9 @@ the sum of the moduli's binary bit-lengths, and lower is better.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
+from math import gcd, prod
 
-from .numbers import bit_length, ceil_nth_root, gcd, parse_decimal
+from .numbers import ceil_nth_root, parse_decimal
 
 __all__ = [
     "ModuliSet",
@@ -33,7 +33,12 @@ __all__ = [
     "validate",
 ]
 
-BASELINE_FAMILIES = ("sm1", "sm2", "sm3")
+# Power-of-two baseline families: each member as a function of p = 2**n.
+BASELINE_FAMILIES = {
+    "sm1": lambda p: (p, p + 1, p - 1),
+    "sm2": lambda p: (p, p - 1, (p >> 1) - 1),
+    "sm3": lambda p: (p * p + 1, p + 1, p - 1),
+}
 
 
 class CardinalityError(ValueError):
@@ -139,7 +144,7 @@ class SchemeId:
         text = label.strip().lower()
         if text.startswith("proposed"):
             cardinality = parse_decimal(text[len("proposed"):])
-            if cardinality is None or cardinality < 0:
+            if cardinality is None:
                 raise ValueError(f"unknown scheme {label!r}")
             return cls("proposed", cardinality)
         if text in BASELINE_FAMILIES:
@@ -220,17 +225,6 @@ def find_moduli(req: GenerationRequest) -> tuple[ModuliSet, GenerationTrace]:
     return ModuliSet(tuple(picked)), GenerationTrace(x, center, tuple(extras))
 
 
-def _family_member(family: str, n: int) -> tuple[int, ...]:
-    p = 1 << n
-    if family == "sm1":
-        return (p, p + 1, p - 1)
-    if family == "sm2":
-        return (p, p - 1, (p >> 1) - 1)
-    if family == "sm3":
-        return ((1 << (2 * n)) + 1, p + 1, p - 1)
-    raise ValueError(f"unknown baseline family {family!r}")
-
-
 def baseline(scheme: SchemeId, bits: int) -> ModuliSet:
     """Smallest member of a power-of-two baseline family covering 2**bits - 1.
 
@@ -238,21 +232,28 @@ def baseline(scheme: SchemeId, bits: int) -> ModuliSet:
     moduli are all >= 2 and whose product reaches the target.
     """
     if scheme.family not in BASELINE_FAMILIES:
-        raise ValueError(f"baseline requires one of {BASELINE_FAMILIES}, got {scheme.label}")
+        raise ValueError(f"baseline requires one of {tuple(BASELINE_FAMILIES)}, got {scheme.label}")
     if bits < 2:
         raise RangeTooSmallError(f"bits must be >= 2, got {bits}")
     target = (1 << bits) - 1
+    member = BASELINE_FAMILIES[scheme.family]
     n = 1
     while True:
-        ms = _family_member(scheme.family, n)
+        ms = member(1 << n)
         if min(ms) >= 2 and prod(ms) >= target:
             return ModuliSet(ms)
         n += 1
 
 
 def bit_cost(moduli_set: ModuliSet) -> int:
-    """Total binary width of the set: sum of bit_length over the moduli."""
-    return sum(bit_length(m) for m in moduli_set.moduli)
+    """Total binary width of the set: the sum of each modulus's bit length.
+
+    Every modulus must be >= 1, the smallest value with a binary width.
+    """
+    for m in moduli_set.moduli:
+        if m < 1:
+            raise ValueError(f"bit_cost requires moduli >= 1, got {m}")
+    return sum(m.bit_length() for m in moduli_set.moduli)
 
 
 def structural_faults(ms: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:

@@ -10,11 +10,9 @@ from __future__ import annotations
 from math import gcd
 
 __all__ = [
-    "gcd",
     "ceil_nth_root",
     "mod_inverse",
     "coprime_to_all",
-    "bit_length",
     "parse_decimal",
     "NotCoprimeError",
 ]
@@ -65,13 +63,6 @@ def coprime_to_all(c: int, ms) -> bool:
     Public helper only: find_moduli takes one gcd against the picks' product.
     """
     return all(gcd(c, m) == 1 for m in ms)
-
-
-def bit_length(m: int) -> int:
-    """Number of binary digits of m >= 1, i.e. floor(log2 m) + 1."""
-    if m < 1:
-        raise ValueError(f"bit_length requires m >= 1, got {m}")
-    return m.bit_length()
 
 
 def parse_decimal(text: str) -> int | None:

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from math import prod
+from math import gcd, prod
 from operator import add, mod, mul, sub
 
 from .moduli import ModuliSet, structural_faults
-from .numbers import NotCoprimeError, gcd, mod_inverse
+from .numbers import NotCoprimeError, mod_inverse
 
 __all__ = [
     "RnsContext",

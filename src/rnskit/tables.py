@@ -21,7 +21,6 @@ __all__ = [
     "rows_to_csv",
     "rows_from_csv",
     "rows_to_markdown",
-    "CSV_HEADER",
 ]
 
 CSV_HEADER = ("bits", "scheme", "cardinality", "moduli", "bit_cost", "note")
@@ -119,15 +118,10 @@ def rows_from_csv(text: str) -> list[ComparisonRow]:
 
 def rows_to_markdown(rows) -> str:
     """Bits-per-row, scheme-per-column table, footnoting any deviations."""
-    bits_order: list[int] = []
-    scheme_order: list[str] = []
-    cells: dict[tuple[int, str], ComparisonRow] = {}
-    for row in rows:
-        if row.bits not in bits_order:
-            bits_order.append(row.bits)
-        if row.scheme.label not in scheme_order:
-            scheme_order.append(row.scheme.label)
-        cells[(row.bits, row.scheme.label)] = row
+    cells = {(row.bits, row.scheme.label): row for row in rows}
+    # a key keeps the position of its first row, so both orders are first-seen
+    bits_order = dict.fromkeys(bits for bits, _ in cells)
+    scheme_order = dict.fromkeys(label for _, label in cells)
 
     header = ["N"]
     for label in scheme_order:

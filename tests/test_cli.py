@@ -128,6 +128,19 @@ def test_compare_unknown_scheme_exits_1(capsys):
     assert "sm9" in err
 
 
+@pytest.mark.parametrize(
+    "label,message",
+    [
+        ("proposed-3", "proposed scheme needs cardinality >= 3, got -3"),
+        ("proposed2", "proposed scheme needs cardinality >= 3, got 2"),
+        ("proposed7", "unknown scheme 'proposed7'"),
+    ],
+)
+def test_compare_cardinality_out_of_bounds_exits_1(capsys, label, message):
+    code, out, err = invoke(capsys, "compare", "--bits", "16", "--schemes", label)
+    assert (code, out, err) == (1, "", f"rnskit: error: {message}\n")
+
+
 def test_compare_empty_bits_exits_1(capsys):
     code, _, _ = invoke(capsys, "compare", "--bits", "", "--schemes", "sm1")
     assert code == 1
@@ -325,6 +338,12 @@ def test_run_trace_goes_to_stderr(capsys):
     assert "IN1=(7,7,0)" in err
 
 
+def test_run_unknown_builtin_exits_1(capsys):
+    code, out, err = invoke(capsys, "run", "--builtin", "bogus", "--moduli", "8,9,7")
+    assert (code, out) == (1, "")
+    assert "argument --builtin: invalid choice: 'bogus'" in err
+
+
 def test_run_missing_function2_exponent_exits_1(capsys):
     code, _, err = invoke(
         capsys,
@@ -371,6 +390,17 @@ def test_markdown_rows_render():
     rows = comparison_rows([6], [SchemeId.parse("proposed3")])
     text = rows_to_markdown(rows)
     assert "(6,7,5)" in text
+
+
+def test_markdown_keeps_first_seen_order_of_bits_and_schemes():
+    sm1, proposed3 = SchemeId.parse("sm1"), SchemeId.parse("proposed3")
+    rows = comparison_rows([16], [sm1]) + comparison_rows([6], [proposed3, sm1])
+    assert rows_to_markdown(iter(rows)).splitlines() == [
+        "| N | sm1 | #bits | proposed3 | #bits |",
+        "|---|---|---|---|---|",
+        "| 16 | (64,65,63) | 20 | - | - |",
+        "| 6 | (8,9,7) | 11 | (6,7,5) | 9 |",
+    ]
 
 
 # --- input limits ----------------------------------------------------------------

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rnskit import cli, datapath
@@ -342,6 +342,24 @@ def test_parse_value_takes_plain_decimals_only(text):
     assert exc.value.diagnostics == [(2, f"bad unsigned decimal {text!r}")]
 
 
+@pytest.mark.parametrize(
+    "field,kwargs,message",
+    [
+        ("a=-3", {"inject_a": -3}, "a injection must be unsigned, got -3"),
+        ("a=$1x", {"inject_a": "1x"}, "a placeholder '1x' is not an identifier"),
+        ("b=$", {"inject_b": ""}, "b placeholder '' is not an identifier"),
+        ("b=$X-1", {"inject_b": "X-1"}, "b placeholder 'X-1' is not an identifier"),
+    ],
+)
+def test_parse_reports_the_step_injection_check(field, kwargs, message):
+    with pytest.raises(ValueError) as direct:
+        Step(**kwargs)
+    assert str(direct.value) == message
+    with pytest.raises(ProgramParseError) as exc:
+        parse_program(f"PROG p\nSTEP {field} emit=IN1\nEND\n")
+    assert exc.value.diagnostics == [(2, message)]
+
+
 def test_parse_tab_after_step_keyword():
     prog = parse_program("PROG p\nSTEP\ta=1 emit=IN1\nEND\n")
     assert prog.steps == (Step(inject_a=1, emit=Source.IN1),)
@@ -405,6 +423,119 @@ def _steps(draw, injections=_injections):
 def test_render_parse_roundtrip_property(name, steps):
     prog = Microprogram(name=name, steps=tuple(steps))
     assert parse_program(render_program(prog)) == prog
+
+
+@given(s=_steps(), data=st.data())
+@settings(max_examples=200)
+def test_step_line_in_any_field_order_parses_to_the_step(s, data):
+    fields = render_program(Microprogram("p", (s,))).splitlines()[1].split()[1:]
+    shuffled = data.draw(st.permutations(fields))
+    assert parse_program("PROG p\nSTEP " + " ".join(shuffled) + "\nEND\n").steps == (s,)
+
+
+# The step-line parser as it stood when it re-checked identifiers and
+# signs itself and read the fields in three passes, kept verbatim as the
+# reference for which lines are accepted and what they build.
+_REFERENCE_STEP_KEYS = ("a", "b", "add", "sub", "mul", "emit")
+
+
+def _reference_parse_value(text):
+    if text.startswith("$"):
+        name = text[1:]
+        if not datapath._IDENT.match(name):
+            raise ValueError(f"bad placeholder {text!r}")
+        return name
+    value = datapath.parse_decimal(text)
+    if value is None or value < 0:
+        raise ValueError(f"bad unsigned decimal {text!r}")
+    return value
+
+
+def _reference_parse_step_line(tokens):
+    fields = {}
+    for token in tokens:
+        key, sep, value = token.partition("=")
+        if not sep or key not in _REFERENCE_STEP_KEYS:
+            raise ValueError(f"malformed field {token!r}")
+        if key in fields:
+            raise ValueError(f"duplicate field {key!r}")
+        fields[key] = value
+    kwargs = {}
+    for key in ("a", "b"):
+        if key in fields:
+            kwargs[f"inject_{key}"] = _reference_parse_value(fields[key])
+    for key in ("add", "sub", "mul"):
+        if key in fields:
+            parts = fields[key].split(",")
+            if len(parts) != 2:
+                raise ValueError(f"field {key!r} needs exactly two sources")
+            kwargs[f"{key}_l"] = datapath._parse_source(parts[0])
+            kwargs[f"{key}_r"] = datapath._parse_source(parts[1])
+    if "emit" in fields:
+        kwargs["emit"] = datapath._parse_source(fields["emit"])
+    return Step(**kwargs)
+
+
+# valid text for each field key; one field in five takes its text from a
+# mixed pool, mostly malformed, and one in ten is not a key=value pair
+_FIELD_TEXT = {
+    "a": ["0", "7", "-0", "$X", "$_y2"],
+    "b": ["0", "7", "-0", "$X", "$_y2"],
+    "add": ["IN1,IN2", "MUL,ADD", "SUB,SUB"],
+    "sub": ["IN1,IN2", "MUL,ADD", "SUB,SUB"],
+    "mul": ["IN1,IN2", "MUL,ADD", "SUB,SUB"],
+    "emit": ["IN1", "IN2", "ADD", "SUB", "MUL"],
+}
+_MALFORMED_TEXT = [
+    "-3", "+3", "1_0", "\u0663", "", "$", "$1x", "$X-1", "IN1", "IN1,", ",IN2",
+    "IN1,IN2,SUB", "IN1,BAD", "NONE", "NONE,IN1", "in1", "IN1,IN2", "7",
+]
+
+
+@st.composite
+def _fields(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["bogus=1", "=3", "a", "emit", "a=1=2", "A=1"]))
+    key = draw(st.sampled_from(sorted(_FIELD_TEXT)))
+    pool = _FIELD_TEXT[key] if draw(st.integers(0, 4)) else _MALFORMED_TEXT
+    return f"{key}={draw(st.sampled_from(pool))}"
+
+
+@given(
+    st.lists(_fields(), max_size=4, unique_by=lambda field: field.partition("=")[0])
+    | st.lists(_fields(), max_size=4)
+)
+@settings(max_examples=500)
+def test_step_line_parity_with_the_reference_parser(tokens):
+    text = "PROG p\nSTEP " + " ".join(tokens) + "\nEND\n"
+    try:
+        expected = _reference_parse_step_line(tokens)
+    except ValueError:
+        with pytest.raises(ProgramParseError) as exc:
+            parse_program(text)
+        assert [line for line, _ in exc.value.diagnostics] == [2]
+    else:
+        assert parse_program(text).steps == (expected,)
+
+
+# every code point that str.isspace() calls whitespace
+_WHITESPACE = [ch for ch in map(chr, range(0x110000)) if ch.isspace()]
+
+
+@given(st.text(st.one_of(st.characters(), st.sampled_from(_WHITESPACE)), max_size=6))
+@example("")
+@example("a\u3000b")
+@example("\x1c")
+@example("fn\u2028")
+@example("\x85x")
+@example("function2")
+@settings(max_examples=300)
+def test_program_name_check_agrees_with_the_whitespace_scan(name):
+    if not name or any(ch.isspace() for ch in name):
+        with pytest.raises(ValueError, match="^program name must be a non-empty token"):
+            Microprogram(name, ())
+    else:
+        assert Microprogram(name, ()).name == name
 
 
 # --- parity with the reference interpreter -------------------------------------

@@ -1,0 +1,58 @@
+"""The public API is declared once, in each module's __all__.
+
+The package root re-exports those lists; these tests fail if the root
+drifts from them, or if a name the benchmark or README reads from the
+root goes missing.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import rnskit
+import rnskit.cli  # noqa: F401  (the benchmark reads rk.cli.main)
+from rnskit import datapath, moduli, numbers, rns, tables
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = (numbers, moduli, rns, datapath, tables)
+
+
+def test_root_all_is_the_module_lists_joined():
+    assert rnskit.__all__ == [name for module in MODULES for name in module.__all__]
+    assert len(set(rnskit.__all__)) == len(rnskit.__all__)
+
+
+def test_every_exported_name_resolves_on_the_root():
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(rnskit, name) is getattr(module, name), (module.__name__, name)
+
+
+def test_star_import_gives_exactly_the_declared_names():
+    namespace: dict = {}
+    exec("from rnskit import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(rnskit.__all__)
+
+
+def test_benchmark_names_resolve_on_the_root():
+    tree = ast.parse((ROOT / "benchmarks" / "workloads.py").read_text(encoding="utf-8"))
+    names = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "rk"
+    }
+    assert "run" in names and "cli" in names
+    missing = sorted(name for name in names if not hasattr(rnskit, name))
+    assert missing == []
+
+
+def test_readme_library_import_resolves_on_the_root():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"from rnskit import \(([^)]*)\)", readme)
+    assert block is not None
+    names = [name.strip() for name in block.group(1).split(",") if name.strip()]
+    assert "find_moduli" in names
+    missing = [name for name in names if not hasattr(rnskit, name)]
+    assert missing == []

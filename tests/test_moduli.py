@@ -1,7 +1,8 @@
+from math import prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rnskit.moduli import (
@@ -119,6 +120,37 @@ def test_scheme_parse():
         SchemeId.parse("proposed2")
 
 
+@pytest.mark.parametrize("label", ["proposed-3", "proposed0", "proposed-0"])
+def test_scheme_parse_leaves_the_cardinality_bound_to_scheme_id(label):
+    message = f"^proposed scheme needs cardinality >= 3, got {int(label[len('proposed'):])}$"
+    with pytest.raises(CardinalityError, match=message):
+        SchemeId.parse(label)
+
+
+@pytest.mark.parametrize("label", ["proposed", "proposed+4", "proposed4x", "proposed\u0664"])
+def test_scheme_parse_rejects_a_non_decimal_cardinality(label):
+    with pytest.raises(ValueError, match="^unknown scheme "):
+        SchemeId.parse(label)
+
+
+# the family forms written out independently of the library's table
+FAMILY_FORMS = {
+    "sm1": lambda n: (2**n, 2**n + 1, 2**n - 1),
+    "sm2": lambda n: (2**n, 2**n - 1, 2 ** (n - 1) - 1),
+    "sm3": lambda n: (2 ** (2 * n) + 1, 2**n + 1, 2**n - 1),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_FORMS))
+def test_baseline_is_the_first_covering_family_member(family):
+    form = FAMILY_FORMS[family]
+    for bits in range(2, 300):
+        n = 1
+        while min(form(n)) < 2 or prod(form(n)) < 2**bits - 1:
+            n += 1
+        assert baseline(SchemeId(family), bits).moduli == form(n), bits
+
+
 # --- bit cost -------------------------------------------------------------------
 
 
@@ -132,6 +164,19 @@ def test_scheme_parse():
 )
 def test_bit_cost(moduli, expected):
     assert bit_cost(ModuliSet(moduli)) == expected
+
+
+@pytest.mark.parametrize("moduli", [(0,), (8, 0, 7), (8, 9, -7), (-1,)])
+def test_bit_cost_rejects_modulus_below_one(moduli):
+    with pytest.raises(ValueError, match=r"^bit_cost requires moduli >= 1, got -?\d+$"):
+        bit_cost(ModuliSet(moduli))
+
+
+@given(st.lists(st.integers(1, 2**70), max_size=8))
+@example([1, 2, 3, 255, 256, 257, 2**20 - 1, 2**20, 2**20 + 1])
+@settings(max_examples=200)
+def test_bit_cost_is_the_sum_of_binary_digits(moduli):
+    assert bit_cost(ModuliSet(tuple(moduli))) == sum(len(bin(m)) - 2 for m in moduli)
 
 
 # --- validate -------------------------------------------------------------------

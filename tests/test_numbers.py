@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from rnskit.numbers import (
     NotCoprimeError,
-    bit_length,
     ceil_nth_root,
     coprime_to_all,
     gcd,
@@ -207,25 +206,6 @@ def test_coprime_to_all_cases():
     assert not coprime_to_all(258, [256, 257, 255])
     assert coprime_to_all(1, [2, 4, 6, 9])
     assert coprime_to_all(5, [])
-
-
-# --- bit_length -----------------------------------------------------------------
-
-
-def test_bit_length_cases():
-    assert bit_length(257) == 9
-    assert bit_length(1) == 1
-    assert bit_length(256) == 9
-
-
-def test_bit_length_rejects_zero():
-    with pytest.raises(ValueError):
-        bit_length(0)
-
-
-def test_bit_length_matches_binary_digits():
-    for m in range(1, 2**20 + 1):
-        assert bit_length(m) == len(bin(m)) - 2
 
 
 # --- parse_decimal --------------------------------------------------------------
