@@ -40,6 +40,10 @@ BASELINE_FAMILIES = {
     "sm3": lambda p: (p * p + 1, p + 1, p - 1),
 }
 
+# The odd primes below 60; the generator screens candidates against those
+# dividing the product before the full-width gcd.
+SMALL_ODD_PRIMES = prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59))
+
 
 class CardinalityError(ValueError):
     """Requested cardinality is below the minimum of three."""
@@ -195,6 +199,13 @@ def find_moduli(req: GenerationRequest) -> tuple[ModuliSet, GenerationTrace]:
     its integer root of descending index (square root for the
     next-to-last two slots... down to k itself for the last).
 
+    Each slot's root is a Newton iteration started at an upper bound on
+    it: c + 1 for the first extra slot, the previous pick for each later
+    one.  The even center puts 2 in the product, so the search visits odd
+    candidates only, from max(k_root, 3).  Each is screened by a gcd with
+    the product's odd prime factors below 60, and one that passes gets a
+    single gcd against the product of all picks.
+
     Moduli are returned in generation order.  The accompanying trace
     records x, the final center, and every (k, k_root, chosen) step.
     """
@@ -212,24 +223,36 @@ def find_moduli(req: GenerationRequest) -> tuple[ModuliSet, GenerationTrace]:
     picked = [center, center + 1, center - 1]
     product = center * (center + 1) * (center - 1)
     extras = []
+    # Each slot's root is at most the pick before it, so Newton starts
+    # there.  Slot 1: x**t >= target and c >= x, so target / (c**3 - c) <=
+    # c**t / (c**3 - c) <= (c + 1)**(t - 3) for c >= 2 and t >= 4, and the
+    # root is at most c + 1.  Slot j >= 2 with n_j = t - 2 - j: the slot
+    # before left target / P <= k <= k_root**(n_j + 1) <= m**(n_j + 1) for
+    # its pick m, so k_j = ceil(target / (P * m)) <= m**n_j.
+    bound = center + 1
     for j in range(1, req.cardinality - 2):
         k = (target + product - 1) // product
-        k_root = ceil_nth_root(k, req.cardinality - 2 - j)
-        candidate = max(k_root, 2)
-        # coprime to every pick exactly when coprime to their product
-        while gcd(candidate, product) != 1:
-            candidate += 1
+        k_root = ceil_nth_root(k, req.cardinality - 2 - j, start=bound)
+        # The even center puts 2 in the product, so only odd candidates can
+        # be coprime to it.  A candidate sharing a factor with `small`
+        # shares it with the product; one that passes gets the full gcd.
+        small = gcd(product, SMALL_ODD_PRIMES)
+        candidate = max(k_root, 3) | 1
+        while gcd(candidate, small) != 1 or gcd(candidate, product) != 1:
+            candidate += 2
         extras.append(ExtraChoice(k=k, k_root=k_root, chosen=candidate))
         picked.append(candidate)
         product *= candidate
+        bound = candidate
     return ModuliSet(tuple(picked)), GenerationTrace(x, center, tuple(extras))
 
 
 def baseline(scheme: SchemeId, bits: int) -> ModuliSet:
     """Smallest member of a power-of-two baseline family covering 2**bits - 1.
 
-    Walks the family parameter upward and returns the first member whose
-    moduli are all >= 2 and whose product reaches the target.
+    Finds the smallest family parameter n whose member has all moduli
+    >= 2 and a product reaching the target, by doubling n until a member
+    covers and then bisecting between the last two doublings.
     """
     if scheme.family not in BASELINE_FAMILIES:
         raise ValueError(f"baseline requires one of {tuple(BASELINE_FAMILIES)}, got {scheme.label}")
@@ -237,12 +260,24 @@ def baseline(scheme: SchemeId, bits: int) -> ModuliSet:
         raise RangeTooSmallError(f"bits must be >= 2, got {bits}")
     target = (1 << bits) - 1
     member = BASELINE_FAMILIES[scheme.family]
-    n = 1
-    while True:
+
+    # exact search: every modulus of a member, so its product and its
+    # smallest modulus, only grow with n
+    def covers(n: int) -> bool:
         ms = member(1 << n)
-        if min(ms) >= 2 and prod(ms) >= target:
-            return ModuliSet(ms)
-        n += 1
+        return min(ms) >= 2 and prod(ms) >= target
+
+    hi = 1
+    while not covers(hi):
+        hi *= 2
+    lo = hi // 2 + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if covers(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return ModuliSet(member(1 << hi))
 
 
 def bit_cost(moduli_set: ModuliSet) -> int:

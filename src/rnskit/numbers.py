@@ -22,21 +22,28 @@ class NotCoprimeError(ValueError):
     """A modular inverse was requested for non-coprime inputs."""
 
 
-def ceil_nth_root(v: int, n: int) -> int:
+def ceil_nth_root(v: int, n: int, *, start: int | None = None) -> int:
     """Smallest r with r**n >= v, i.e. the ceiling of the real n-th root.
 
     Requires v >= 1 and n >= 1.  Exact integer Newton iteration from above,
-    from x = 2**ceil(bitlen/n) > v**(1/n): while x exceeds s, the floor of
-    the real root, the step is below x and, by AM-GM, at least s; at x = s
-    it is at least x.  So the loop stops at s, and the answer is s or s + 1.
+    from x = 2**ceil(bitlen/n) > v**(1/n), or from `start` when that is
+    smaller.  A caller that knows an upper bound on the root passes it as
+    `start`: an int >= 1 with start**n >= v, else ValueError.  From any x
+    at or above s, the floor of the real root, the step is at least s by
+    AM-GM, and below x while x exceeds s; at x = s it is at least x.  So
+    the loop stops at s, and the answer is s or s + 1.
     """
     if v < 1:
         raise ValueError(f"ceil_nth_root requires v >= 1, got {v}")
     if n < 1:
         raise ValueError(f"ceil_nth_root requires n >= 1, got {n}")
+    x = 1 << ((v.bit_length() + n - 1) // n)
+    if start is not None:
+        if start < 1 or start**n < v:
+            raise ValueError(f"ceil_nth_root start must be >= 1 with start**n >= v, got {start}")
+        x = min(x, start)
     if n == 1:
         return v
-    x = 1 << ((v.bit_length() + n - 1) // n)
     while (y := ((n - 1) * x + v // x ** (n - 1)) // n) < x:
         x = y
     return x if x**n >= v else x + 1
@@ -60,7 +67,9 @@ def mod_inverse(a: int, m: int) -> int:
 def coprime_to_all(c: int, ms) -> bool:
     """True iff gcd(c, m) == 1 for every m in ms.
 
-    Public helper only: find_moduli takes one gcd against the picks' product.
+    Public helper only: find_moduli does not call it.  It skips even
+    candidates and tests each odd one against the picks' product, by a
+    gcd with the product's small odd prime factors first.
     """
     return all(gcd(c, m) == 1 for m in ms)
 

@@ -144,7 +144,7 @@ FAMILY_FORMS = {
 @pytest.mark.parametrize("family", sorted(FAMILY_FORMS))
 def test_baseline_is_the_first_covering_family_member(family):
     form = FAMILY_FORMS[family]
-    for bits in range(2, 300):
+    for bits in [*range(2, 300), 1024, 4096, 8192]:
         n = 1
         while min(form(n)) < 2 or prod(form(n)) < 2**bits - 1:
             n += 1
@@ -251,10 +251,15 @@ def test_generator_sweep_invariants(cardinality):
             assert extra.chosen >= max(extra.k_root, 2)
 
 
-@pytest.mark.parametrize("cardinality", [4, 5, 6])
-def test_each_extra_is_minimal(cardinality):
-    # re-check by direct scan: nothing below the chosen candidate is admissible
-    for bits in range(4, 65, 3):
+@pytest.mark.parametrize(
+    "cells",
+    [pytest.param([(bits, t) for bits in range(4, 65, 3)], id=str(t)) for t in (4, 5, 6)]
+    + [pytest.param([(2048, 24), (2048, 9), (1537, 17), (640, 24), (333, 13)], id="wide")],
+)
+def test_each_extra_is_minimal(cells):
+    # re-check by direct scan: nothing below the chosen candidate is
+    # admissible, the even ones the generator skips without a gcd included
+    for bits, cardinality in cells:
         try:
             moduli_set, trace = gen(bits, cardinality)
         except RangeTooSmallError:
@@ -325,6 +330,15 @@ def test_generator_matches_reference_bit_for_bit():
                 gen(bits, t)
         else:
             assert gen(bits, t) == expected, (bits, t)
+
+
+@given(bits=st.integers(min_value=64, max_value=2048), t=st.integers(min_value=3, max_value=24))
+@example(bits=64, t=24)
+@example(bits=2048, t=24)
+@settings(derandomize=True, max_examples=400)
+def test_generator_matches_reference_across_gen_sweep(bits, t):
+    # the gen-sweep benchmark's domain of generate requests
+    assert gen(bits, t) == reference_generator(bits, t), (bits, t)
 
 
 def test_generation_is_deterministic():

@@ -97,6 +97,11 @@ def test_root_rejects_bad_domain():
         ceil_nth_root(0, 3)
     with pytest.raises(ValueError):
         ceil_nth_root(5, 0)
+    # a start below 1, one whose n-th power is positive anyway (even n), one
+    # whose n-th power falls short of v, and a short one at n = 1
+    for v, n, start in [(5, 3, 0), (16, 4, -3), (65537, 4, 16), (6, 1, 5)]:
+        with pytest.raises(ValueError, match=r"^ceil_nth_root start must be >= 1 with start\*\*n >= v, got -?\d+$"):
+            ceil_nth_root(v, n, start=start)
 
 
 def bisection_ceil_root(v: int, n: int) -> int:
@@ -123,15 +128,19 @@ root_values = st.one_of(
 WIDE_POWERS = [(2**683 - 1, 3), (3**40, 64), (2**128 - 1, 64), (10**500 + 7, 2)]
 
 
-def at_powers(test):
-    """@example at r**n - 1, r**n and r**n + 1 for each wide (r, n)."""
-    for r, n in WIDE_POWERS:
-        for delta in (-1, 0, 1):
-            test = example(v=r**n + delta, n=n)(test)
-    return test
+def at_powers(**extra):
+    """@example at r**n - 1, r**n and r**n + 1 for each wide (r, n), with `extra` arguments."""
+
+    def decorate(test):
+        for r, n in WIDE_POWERS:
+            for delta in (-1, 0, 1):
+                test = example(v=r**n + delta, n=n, **extra)(test)
+        return test
+
+    return decorate
 
 
-@at_powers
+@at_powers()
 @given(v=root_values, n=st.integers(min_value=1, max_value=64))
 @settings(max_examples=400)
 def test_root_bracket_property(v, n):
@@ -140,11 +149,22 @@ def test_root_bracket_property(v, n):
     assert r == 1 or naive_power(r - 1, n) < v
 
 
-@at_powers
-@given(v=root_values, n=st.integers(min_value=1, max_value=64))
+# no start, a start at the root or a little above it, or one far enough
+# above to lie past 2**ceil(bitlen/n), where Newton starts without one
+start_offsets = st.one_of(
+    st.none(), st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=2**80)
+)
+
+
+@at_powers(above=None)
+@at_powers(above=0)
+@at_powers(above=1)
+@given(v=root_values, n=st.integers(min_value=1, max_value=64), above=start_offsets)
 @settings(max_examples=200)
-def test_root_matches_bisection(v, n):
-    assert ceil_nth_root(v, n) == bisection_ceil_root(v, n)
+def test_root_matches_bisection(v, n, above):
+    expected = bisection_ceil_root(v, n)
+    start = None if above is None else expected + above
+    assert ceil_nth_root(v, n, start=start) == expected
 
 
 def test_root_matches_bisection_on_every_small_value():
