@@ -16,7 +16,7 @@ not a silent zero.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .numbers import parse_decimal
@@ -26,11 +26,9 @@ __all__ = [
     "Source",
     "Step",
     "Microprogram",
-    "DatapathState",
     "RunFault",
     "UnboundPlaceholderError",
     "ProgramParseError",
-    "step",
     "run",
     "builtin_function1",
     "builtin_function2",
@@ -62,11 +60,10 @@ _IN1, _IN2, _ADD, _SUB, _MUL, _NONE = Source
 class RunFault(RuntimeError):
     """A step read a latch that has never been written."""
 
-    def __init__(self, step_index: int | None, source: Source):
+    def __init__(self, step_index: int, source: Source):
         self.step_index = step_index
         self.source = source
-        where = "?" if step_index is None else str(step_index)
-        super().__init__(f"step {where}: read of undefined latch {source.value}")
+        super().__init__(f"step {step_index}: read of undefined latch {source.value}")
 
 
 class UnboundPlaceholderError(ValueError):
@@ -100,6 +97,8 @@ def _check_injection(label: str, value) -> None:
     if isinstance(value, str):
         if not _IDENT.match(value):
             raise ValueError(f"{label} placeholder {value!r} is not an identifier")
+    elif isinstance(value, bool):
+        raise ValueError(f"{label} injection must be an int or placeholder name")
     else:
         _check_unsigned(label, value)
 
@@ -108,9 +107,9 @@ def _check_injection(label: str, value) -> None:
 class Step:
     """One microprogram step: injections, unit selects, and the emit select.
 
-    inject_a / inject_b are unsigned integers, placeholder names bound at
-    run time, or None.  A unit computes this step iff both of its selects
-    are non-NONE; half-selected units are rejected at construction.
+    inject_a / inject_b are unsigned ints (not bools), placeholder names
+    bound at run time, or None.  A unit computes this step iff both of its
+    selects are non-NONE; half-selected units are rejected at construction.
     """
 
     inject_a: int | str | None = None
@@ -149,36 +148,22 @@ class Microprogram:
         object.__setattr__(self, "steps", tuple(self.steps))
 
 
-@dataclass(slots=True)
-class DatapathState:
-    """Latches of the five sources, the emitted outputs and the run's bindings.
-
-    Owned by a single run; latches start undefined and, once written,
-    always hold a residue vector valid for the run's context.
-    """
-
-    latches: dict[Source, RnsNumber] = field(default_factory=dict)
-    outputs: list[int] = field(default_factory=list)
-    bindings: dict[str, int] = field(default_factory=dict)
-
-
-def step(ctx: RnsContext, state: DatapathState, s: Step, index: int | None = None) -> DatapathState:
-    """Execute one step in place and return the state.
+def step(
+    ctx: RnsContext, latches: dict[Source, RnsNumber], outputs: list[int],
+    bindings: dict[str, int], s: Step, index: int,
+) -> None:
+    """Execute step `index` of a run in place: run's per-cycle helper.
 
     Order inside the step: injections overwrite IN1/IN2 (placeholders are
-    looked up in state.bindings), active units read the post-injection
-    latches, all unit results latch at once, and the emit select
-    (post-update) appends one reverse-converted output.
+    read from bindings, which run has checked), active units read the
+    post-injection latches, all unit results latch at once, and the emit
+    select (post-update) appends one reverse-converted output.
     """
-    latches = state.latches
     a, b = s.inject_a, s.inject_b
-    try:
-        if a is not None:
-            latches[_IN1] = to_rns(ctx, state.bindings[a] if isinstance(a, str) else a)
-        if b is not None:
-            latches[_IN2] = to_rns(ctx, state.bindings[b] if isinstance(b, str) else b)
-    except KeyError as exc:
-        raise UnboundPlaceholderError(exc.args[0]) from None
+    if a is not None:
+        latches[_IN1] = to_rns(ctx, bindings[a] if isinstance(a, str) else a)
+    if b is not None:
+        latches[_IN2] = to_rns(ctx, bindings[b] if isinstance(b, str) else b)
 
     # every unit reads before any result latches, so one step's units
     # see the previous step's ADD/SUB/MUL, never each other's new ones
@@ -193,10 +178,9 @@ def step(ctx: RnsContext, state: DatapathState, s: Step, index: int | None = Non
         if mul is not None:
             latches[_MUL] = mul
         if s.emit is not _NONE:
-            state.outputs.append(from_rns(ctx, latches[s.emit]))
+            outputs.append(from_rns(ctx, latches[s.emit]))
     except KeyError as exc:
         raise RunFault(index, exc.args[0]) from None
-    return state
 
 
 def run(
@@ -217,12 +201,13 @@ def run(
                     if name not in bindings:
                         raise UnboundPlaceholderError(name)
                     _check_unsigned(label, bindings[name])
-    state = DatapathState(bindings=bindings)
+    latches: dict[Source, RnsNumber] = {}
+    outputs: list[int] = []
     trace: list[dict[Source, RnsNumber]] = []
     for i, s in enumerate(prog.steps):
-        step(ctx, state, s, i)
-        trace.append(state.latches.copy())
-    return state.outputs, trace
+        step(ctx, latches, outputs, bindings, s, i)
+        trace.append(latches.copy())
+    return outputs, trace
 
 
 # --- Built-in programs -------------------------------------------------------

@@ -196,8 +196,9 @@ def find_moduli(req: GenerationRequest) -> tuple[ModuliSet, GenerationTrace]:
     cardinalities keep the triple and append, one slot at a time, the
     smallest integer >= max(k_root, 2) coprime to all earlier picks,
     where k is the exact ceiling of target / product-so-far and k_root
-    its integer root of descending index (square root for the
-    next-to-last two slots... down to k itself for the last).
+    its ceiling (t - 2 - j)-th root for extra slot j = 1 .. t - 3, t the
+    cardinality: a square root for the next-to-last slot and k itself
+    for the last.
 
     Each slot's root is a Newton iteration started at an upper bound on
     it: c + 1 for the first extra slot, the previous pick for each later

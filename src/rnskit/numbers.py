@@ -65,11 +65,11 @@ def mod_inverse(a: int, m: int) -> int:
 
 
 def coprime_to_all(c: int, ms) -> bool:
-    """True iff gcd(c, m) == 1 for every m in ms.
+    """True iff gcd(c, m) == 1 for every m in ms, one gcd per modulus.
 
-    Public helper only: find_moduli does not call it.  It skips even
-    candidates and tests each odd one against the picks' product, by a
-    gcd with the product's small odd prime factors first.
+    No code in the package calls it (find_moduli tests its candidates
+    against the product of the picks); it is kept as a named helper only
+    until ROADMAP item 1 drops the benchmark metric that wraps it.
     """
     return all(gcd(c, m) == 1 for m in ms)
 

@@ -102,6 +102,25 @@ def test_compare_csv_roundtrip(capsys):
     assert rows_to_csv(rows) == out
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (
+            "bits,scheme,moduli,cardinality,bit_cost,note\n",
+            "unexpected CSV header ('bits', 'scheme', 'moduli', 'cardinality', 'bit_cost', 'note')",
+        ),
+        (
+            "bits,scheme,cardinality,moduli,bit_cost,note\n16,proposed3,4,42;43;41,18,\n",
+            "cardinality 4 does not match '42;43;41'",
+        ),
+    ],
+)
+def test_rows_from_csv_rejects_a_bad_header_or_cardinality(text, message):
+    with pytest.raises(ValueError) as exc:
+        rows_from_csv(text)
+    assert str(exc.value) == message
+
+
 def test_compare_markdown(capsys):
     code, out, _ = invoke(
         capsys,

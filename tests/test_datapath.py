@@ -1,12 +1,13 @@
 import random
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rnskit
 from rnskit import cli, datapath
 from rnskit.datapath import (
-    DatapathState,
     Microprogram,
     ProgramParseError,
     RunFault,
@@ -18,7 +19,6 @@ from rnskit.datapath import (
     parse_program,
     render_program,
     run,
-    step,
 )
 from rnskit.moduli import ModuliSet
 from rnskit.rns import RnsContext, from_rns, rns_add, rns_mul, rns_sub, to_rns
@@ -26,50 +26,50 @@ from rnskit.rns import RnsContext, from_rns, rns_add, rns_mul, rns_sub, to_rns
 CTX = RnsContext(ModuliSet((8, 9, 7)))
 
 
-# --- single-step semantics ------------------------------------------------------
+# --- step semantics, one short program each ---------------------------------------
+
+
+def _run_steps(*steps, bindings=None):
+    return run(CTX, Microprogram("p", steps), bindings)
 
 
 def test_injections_only():
-    state = step(CTX, DatapathState(), Step(inject_a=7, inject_b=5))
-    assert state.latches[Source.IN1] == to_rns(CTX, 7)
-    assert state.latches[Source.IN2] == to_rns(CTX, 5)
-    assert state.outputs == []
+    outputs, trace = _run_steps(Step(inject_a=7, inject_b=5))
+    assert trace == [{Source.IN1: to_rns(CTX, 7), Source.IN2: to_rns(CTX, 5)}]
+    assert outputs == []
 
 
 def test_add_step_after_injection():
-    state = step(CTX, DatapathState(), Step(inject_a=7, inject_b=5))
-    step(CTX, state, Step(add_l=Source.IN1, add_r=Source.IN2))
-    assert state.latches[Source.ADD] == to_rns(CTX, 12)
+    _, trace = _run_steps(Step(inject_a=7, inject_b=5), Step(add_l=Source.IN1, add_r=Source.IN2))
+    assert trace[1][Source.ADD] == to_rns(CTX, 12)
 
 
 def test_emit_step():
-    state = step(CTX, DatapathState(), Step(inject_a=7, inject_b=5))
-    step(CTX, state, Step(add_l=Source.IN1, add_r=Source.IN2))
-    step(CTX, state, Step(emit=Source.ADD))
-    assert state.outputs == [12]
+    outputs, _ = _run_steps(
+        Step(inject_a=7, inject_b=5),
+        Step(add_l=Source.IN1, add_r=Source.IN2),
+        Step(emit=Source.ADD),
+    )
+    assert outputs == [12]
 
 
 def test_same_step_injection_is_visible_to_units():
-    state = step(
-        CTX,
-        DatapathState(),
-        Step(inject_a=7, inject_b=5, add_l=Source.IN1, add_r=Source.IN2),
-    )
-    assert state.latches[Source.ADD] == to_rns(CTX, 12)
+    _, trace = _run_steps(Step(inject_a=7, inject_b=5, add_l=Source.IN1, add_r=Source.IN2))
+    assert trace[0][Source.ADD] == to_rns(CTX, 12)
 
 
 def test_undefined_latch_read_faults_with_location():
     with pytest.raises(RunFault) as exc:
-        step(CTX, DatapathState(), Step(add_l=Source.IN1, add_r=Source.IN2), index=4)
+        _run_steps(*[Step()] * 4, Step(add_l=Source.IN1, add_r=Source.IN2))
     assert exc.value.step_index == 4
     assert exc.value.source == Source.IN1
-    assert "step 4" in str(exc.value)
-    assert "IN1" in str(exc.value)
+    assert str(exc.value) == "step 4: read of undefined latch IN1"
 
 
 def test_emit_of_undefined_latch_faults():
-    with pytest.raises(RunFault):
-        step(CTX, DatapathState(), Step(emit=Source.MUL))
+    with pytest.raises(RunFault) as exc:
+        _run_steps(Step(emit=Source.MUL))
+    assert (exc.value.step_index, exc.value.source) == (0, Source.MUL)
 
 
 def test_half_selected_unit_rejected():
@@ -77,9 +77,34 @@ def test_half_selected_unit_rejected():
         Step(add_l=Source.IN1)
 
 
-def test_unresolved_placeholder_in_step_rejected():
-    with pytest.raises(UnboundPlaceholderError):
-        step(CTX, DatapathState(), Step(inject_a="X"))
+@pytest.mark.parametrize("kwargs,label", [({"inject_a": True}, "a"), ({"inject_b": False}, "b")])
+def test_bool_injection_literal_rejected(kwargs, label):
+    with pytest.raises(ValueError, match=f"^{label} injection must be an int or placeholder name$"):
+        Step(**kwargs, emit=Source.IN1)
+
+
+def test_bool_bound_value_accepted():
+    # a bound value is checked as to_rns checks it: bool counts as int
+    outputs, _ = run(CTX, builtin_function1(), {"X": True, "Y": 1, "Z": 3})
+    assert outputs == [6]
+
+
+def test_run_is_the_only_public_entry_point(monkeypatch):
+    assert "step" not in rnskit.__all__
+    assert "DatapathState" not in rnskit.__all__
+    assert not hasattr(datapath, "DatapathState")
+    # run calls the module's step once per cycle, with the cycle's index
+    indices = []
+    inner = datapath.step
+
+    def counted(ctx, latches, outputs, bindings, s, index):
+        indices.append(index)
+        inner(ctx, latches, outputs, bindings, s, index)
+
+    monkeypatch.setattr(datapath, "step", counted)
+    outputs, _ = run(CTX, builtin_function2(5), {"X": 2})
+    assert outputs == [32]
+    assert indices == list(range(6))
 
 
 # --- program runs ------------------------------------------------------------------
@@ -189,11 +214,6 @@ def test_unbound_placeholder_checked_before_any_step():
     with pytest.raises(UnboundPlaceholderError) as exc:
         run(CTX, prog, {})
     assert exc.value.name == "Q"
-
-
-def test_step_reads_bindings_from_state():
-    state = step(CTX, DatapathState(bindings={"X": 7}), Step(inject_a="X", inject_b=5))
-    assert state.latches[Source.IN1] == to_rns(CTX, 7)
 
 
 def test_run_fault_reports_step_index():
@@ -541,7 +561,15 @@ def test_program_name_check_agrees_with_the_whitespace_scan(name):
 # --- parity with the reference interpreter -------------------------------------
 #
 # The interpreter as it stood before step lost its per-call closure, input
-# tuple and update dict, kept verbatim as the reference semantics.
+# tuple and update dict, kept verbatim as the reference semantics; _RefState
+# stands in for the state class the library had then.
+
+
+@dataclass
+class _RefState:
+    latches: dict = field(default_factory=dict)
+    outputs: list = field(default_factory=list)
+    bindings: dict = field(default_factory=dict)
 
 
 def _reference_step(ctx, state, s, index=None):
@@ -584,7 +612,7 @@ def _reference_run(ctx, prog, bindings=None):
                 if name not in bindings:
                     raise UnboundPlaceholderError(name)
                 datapath._check_unsigned(label, bindings[name])
-    state = DatapathState(bindings=bindings)
+    state = _RefState(bindings=bindings)
     trace = []
     for i, s in enumerate(prog.steps):
         _reference_step(ctx, state, s, index=i)
@@ -613,17 +641,6 @@ def _ran(run_fn, ctx, prog, bindings):
         return outputs, [list(snapshot.items()) for snapshot in trace]
 
     return _outcome(call)
-
-
-def _stepped(step_fn, ctx, prog, bindings):
-    """Step through prog directly; the outcome and the state it leaves."""
-    state = DatapathState(bindings=dict(bindings))
-
-    def steps():
-        for i, s in enumerate(prog.steps):
-            step_fn(ctx, state, s, i)
-
-    return _outcome(steps), list(state.latches.items()), state.outputs
 
 
 _PARITY_CONTEXTS = (CTX, RnsContext(ModuliSet((42, 43, 41, 47, 37, 53))))
@@ -657,33 +674,17 @@ def test_run_matches_reference_interpreter(case):
     assert _ran(run, ctx, prog, bindings) == _ran(_reference_run, ctx, prog, bindings)
 
 
-@given(_parity_cases())
-@settings(max_examples=200)
-def test_step_matches_reference_interpreter(case):
-    ctx, prog, bindings = case
-    assert _stepped(step, ctx, prog, bindings) == _stepped(_reference_step, ctx, prog, bindings)
-
-
 @pytest.mark.parametrize("unit", ["add", "sub", "mul"])
 @pytest.mark.parametrize("side", ["l", "r"])
 def test_fault_in_each_unit_position_latches_nothing(unit, side):
     # IN1 and MUL are written; the faulting read is SUB in one position
     selects = {f"{u}_{x}": Source.IN1 for u in ("add", "sub", "mul") for x in "lr"}
     selects[f"{unit}_{side}"] = Source.SUB
-    state = DatapathState(bindings={"X": 4})
-    state.latches[Source.MUL] = to_rns(CTX, 9)
     with pytest.raises(RunFault) as exc:
-        step(CTX, state, Step(inject_a="X", inject_b=6, **selects), index=2)
+        _run_steps(
+            Step(inject_a=3, mul_l=Source.IN1, mul_r=Source.IN1),
+            Step(),
+            Step(inject_a="X", inject_b=6, **selects),
+            bindings={"X": 4},
+        )
     assert (exc.value.step_index, exc.value.source) == (2, Source.SUB)
-    assert state.latches == {
-        Source.MUL: to_rns(CTX, 9), Source.IN1: to_rns(CTX, 4), Source.IN2: to_rns(CTX, 6),
-    }
-    assert state.outputs == []
-
-
-def test_unbound_second_placeholder_leaves_the_first_injection():
-    state = DatapathState(bindings={"X": 4})
-    with pytest.raises(UnboundPlaceholderError) as exc:
-        step(CTX, state, Step(inject_a="X", inject_b="Y", add_l=Source.IN1, add_r=Source.IN1))
-    assert exc.value.name == "Y"
-    assert state.latches == {Source.IN1: to_rns(CTX, 4)}
