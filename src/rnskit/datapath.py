@@ -16,8 +16,10 @@ not a silent zero.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
+from operator import attrgetter
 
 from .numbers import parse_decimal
 from .rns import RnsContext, RnsNumber, from_rns, rns_add, rns_mul, rns_sub, to_rns
@@ -110,6 +112,8 @@ class Step:
     inject_a / inject_b are unsigned ints (not bools), placeholder names
     bound at run time, or None.  A unit computes this step iff both of its
     selects are non-NONE; half-selected units are rejected at construction.
+    The step's (label, name) placeholder pairs, a before b, are recorded
+    here too; they are left out of equality, hash and repr.
     """
 
     inject_a: int | str | None = None
@@ -121,6 +125,7 @@ class Step:
     mul_l: Source = Source.NONE
     mul_r: Source = Source.NONE
     emit: Source = Source.NONE
+    _placeholders: tuple[tuple[str, str], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_injection("a", self.inject_a)
@@ -128,24 +133,39 @@ class Step:
         for name, l, r in _unit_selects(self):
             if (l is Source.NONE) != (r is Source.NONE):
                 raise ValueError(f"{name} selects must both be set or both NONE")
+        pairs = (("a", self.inject_a), ("b", self.inject_b))
+        object.__setattr__(self, "_placeholders", tuple(p for p in pairs if isinstance(p[1], str)))
 
 
 def _unit_selects(s: Step) -> tuple[tuple[str, Source, Source], ...]:
     return (("add", s.add_l, s.add_r), ("sub", s.sub_l, s.sub_r), ("mul", s.mul_l, s.mul_r))
 
 
+_PAIRS = attrgetter("_placeholders")
+
+
 @dataclass(frozen=True, slots=True)
 class Microprogram:
-    """Named, ordered list of steps, executed once each in order."""
+    """Named, ordered list of steps, executed once each in order.
+
+    The placeholder pairs of all steps, in step order, are joined here
+    once, so run checks its bindings without scanning the steps; they are
+    left out of equality, hash and repr.
+    """
 
     name: str
     steps: tuple[Step, ...]
+    _placeholders: tuple[tuple[str, str], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # a non-empty token is exactly the one piece that split() leaves
         if self.name.split() != [self.name]:
             raise ValueError(f"program name must be a non-empty token, got {self.name!r}")
-        object.__setattr__(self, "steps", tuple(self.steps))
+        steps = tuple(self.steps)
+        object.__setattr__(self, "steps", steps)
+        # most steps hold no placeholder: filter drops their empty tuples in C
+        pairs = chain.from_iterable(filter(None, map(_PAIRS, steps)))
+        object.__setattr__(self, "_placeholders", tuple(pairs))
 
 
 def step(
@@ -193,14 +213,10 @@ def run(
     undefined latch raises RunFault carrying the step index.
     """
     bindings = bindings or {}
-    for s in prog.steps:
-        # most steps inject no placeholder; they need no (label, name) pairs
-        if isinstance(s.inject_a, str) or isinstance(s.inject_b, str):
-            for label, name in (("a", s.inject_a), ("b", s.inject_b)):
-                if isinstance(name, str):
-                    if name not in bindings:
-                        raise UnboundPlaceholderError(name)
-                    _check_unsigned(label, bindings[name])
+    for label, name in prog._placeholders:
+        if name not in bindings:
+            raise UnboundPlaceholderError(name)
+        _check_unsigned(label, bindings[name])
     latches: dict[Source, RnsNumber] = {}
     outputs: list[int] = []
     trace: list[dict[Source, RnsNumber]] = []

@@ -125,17 +125,25 @@ class RnsNumber:
                 raise RnsError(f"residue {r} out of range for modulus {m}")
 
 
+# slot setters bound once: a computed result is built without __init__,
+# __post_init__ or the frozen __setattr__
+_new = object.__new__
+_set_residues = RnsNumber.residues.__set__
+_set_moduli_set = RnsNumber.moduli_set.__set__
+
+
 def _reduced(residues: tuple[int, ...], moduli_set: ModuliSet) -> RnsNumber:
     """An RnsNumber without the range check, for ints already reduced mod each modulus."""
-    number = object.__new__(RnsNumber)
-    object.__setattr__(number, "residues", residues)
-    object.__setattr__(number, "moduli_set", moduli_set)
+    number = _new(RnsNumber)
+    _set_residues(number, residues)
+    _set_moduli_set(number, moduli_set)
     return number
 
 
 def _check_operand(ctx: RnsContext, value: RnsNumber) -> None:
-    # operands formed by this context share its set object; compare by value only otherwise
-    if value.moduli_set is not ctx.moduli_set and value.moduli_set != ctx.moduli_set:
+    # callers test identity inline first: operands formed by this context
+    # share its set object, so only a foreign operand is compared by value
+    if value.moduli_set != ctx.moduli_set:
         raise RnsError(
             f"context mismatch: operand built over {value.moduli_set.moduli}, "
             f"context over {ctx.moduli_set.moduli}"
@@ -144,9 +152,11 @@ def _check_operand(ctx: RnsContext, value: RnsNumber) -> None:
 
 def _channelwise(ctx: RnsContext, op, a: RnsNumber, b: RnsNumber) -> RnsNumber:
     # Python's % with a positive modulus is never negative, so sub needs no + m
-    _check_operand(ctx, a)
-    _check_operand(ctx, b)
     ms = ctx.moduli_set
+    if a.moduli_set is not ms:
+        _check_operand(ctx, a)
+    if b.moduli_set is not ms:
+        _check_operand(ctx, b)
     return _reduced(tuple(map(mod, map(op, a.residues, b.residues), ms.moduli)), ms)
 
 
@@ -156,12 +166,18 @@ def to_rns(ctx: RnsContext, x: int) -> RnsNumber:
         raise TypeError(f"value {x!r} is not an int")
     if x < 0:
         raise RnsError(f"negative values are unsupported, got {x}")
-    return _reduced(_remainders(x, ctx._tree), ctx.moduli_set)
+    tree = ctx._tree
+    product, moduli, halves = tree
+    if halves:
+        return _reduced(_remainders(x, tree), ctx.moduli_set)
+    x %= product
+    return _reduced(tuple(map(mod, repeat(x), moduli)), ctx.moduli_set)
 
 
 def from_rns(ctx: RnsContext, value: RnsNumber) -> int:
     """Recover the unique integer in [0, M) with the given residues."""
-    _check_operand(ctx, value)
+    if value.moduli_set is not ctx.moduli_set:
+        _check_operand(ctx, value)
     return sum(map(mul, value.residues, ctx.crt_coeffs)) % ctx.moduli_set.dynamic_range
 
 
@@ -182,7 +198,8 @@ def rns_mul(ctx: RnsContext, a: RnsNumber, b: RnsNumber) -> RnsNumber:
 
 def rns_pow(ctx: RnsContext, a: RnsNumber, e: int) -> RnsNumber:
     """Channel-wise exponentiation (square-and-multiply per channel)."""
-    _check_operand(ctx, a)
+    if a.moduli_set is not ctx.moduli_set:
+        _check_operand(ctx, a)
     if e < 0:
         raise RnsError(f"exponent must be >= 0, got {e}")
     return _reduced(tuple(map(pow, a.residues, repeat(e), ctx.moduli_set.moduli)), ctx.moduli_set)

@@ -93,13 +93,25 @@ def rows_to_csv(rows) -> str:
 
 
 def rows_from_csv(text: str) -> list[ComparisonRow]:
-    """Inverse of rows_to_csv; recovers every field exactly."""
+    """Inverse of rows_to_csv; recovers every field exactly.
+
+    Empty text, a wrong header, a record without six fields (named by
+    its line) and a cardinality that does not match the moduli raise
+    ValueError.
+    """
     reader = csv.reader(io.StringIO(text))
-    header = tuple(next(reader))
+    header = next(reader, None)
+    if header is None:
+        raise ValueError("empty CSV: missing header")
+    header = tuple(header)
     if header != CSV_HEADER:
         raise ValueError(f"unexpected CSV header {header!r}")
     rows = []
     for record in reader:
+        if len(record) != len(CSV_HEADER):
+            raise ValueError(
+                f"line {reader.line_num}: expected {len(CSV_HEADER)} fields, got {len(record)}"
+            )
         bits, scheme, cardinality, moduli, cost, note = record
         parsed = tuple(int(m) for m in moduli.split(";"))
         if len(parsed) != int(cardinality):

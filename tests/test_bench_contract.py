@@ -26,22 +26,30 @@ import rnskit.cli
 from tracing import Tracer
 from workloads import SimNarrow, program_counts
 
+# a set wider than one remainder-tree leaf, so to_rns takes the multi-leaf path
+wide = rnskit.RnsContext(rnskit.find_moduli(rnskit.GenerationRequest(2048, 24))[0])
+assert wide._tree[2], "the wide context must have more than one leaf"
+contexts = [
+    ("narrow", rnskit.RnsContext(rnskit.ModuliSet((8, 9, 7))), {"X": 5, "Y": 11, "Z": 3, "W": 200}),
+    ("wide", wide, {"X": 3**1000, "Y": 11, "Z": 7**700, "W": 200}),
+]
 tracer = Tracer(keep_spans=False)
 tracer.install(rnskit)
-ctx = rnskit.RnsContext(rnskit.ModuliSet((8, 9, 7)))
-bindings = {"X": 5, "Y": 11, "Z": 3, "W": 200}
 cases = [
     ("function1", rnskit.builtin_function1()),
+    ("function2(0)", rnskit.builtin_function2(0)),
+    ("function2(1)", rnskit.builtin_function2(1)),
     ("function2(5)", rnskit.builtin_function2(5)),
     ("cross", rnskit.parse_program(SimNarrow.CROSS)),
 ]
 report = []
-for name, prog in cases:
-    before = tracer.simulated()
-    rnskit.run(ctx, prog, bindings)
-    seen = tracer.simulated()
-    seen.subtract(before)
-    report.append((name, dict(+seen), dict(+program_counts(prog))))
+for ctx_name, ctx, bindings in contexts:
+    for name, prog in cases:
+        before = tracer.simulated()
+        rnskit.run(ctx, prog, bindings)
+        seen = tracer.simulated()
+        seen.subtract(before)
+        report.append((f"{ctx_name} {name}", dict(+seen), dict(+program_counts(prog))))
 print(json.dumps(report))
 """
 
@@ -96,7 +104,10 @@ def test_traced_counts_match_program_fields():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert [name for name, _, _ in report] == ["function1", "function2(5)", "cross"]
+    programs = ["function1", "function2(0)", "function2(1)", "function2(5)", "cross"]
+    assert [name for name, _, _ in report] == [
+        f"{ctx} {prog}" for ctx in ("narrow", "wide") for prog in programs
+    ]
     for name, seen, expected in report:
         assert expected["datapath.sim_cycles"] > 0, name
         assert seen == expected, name

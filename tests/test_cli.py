@@ -121,6 +121,30 @@ def test_rows_from_csv_rejects_a_bad_header_or_cardinality(text, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("", "empty CSV: missing header"),
+        (
+            "bits,scheme,cardinality,moduli,bit_cost,note\n16,proposed3,3,42;43;41,18,\n16,sm1,3\n",
+            "line 3: expected 6 fields, got 3",
+        ),
+        (
+            "bits,scheme,cardinality,moduli,bit_cost,note\n\n16,proposed3,3,42;43;41,18,\n",
+            "line 2: expected 6 fields, got 0",
+        ),
+        (
+            "bits,scheme,cardinality,moduli,bit_cost,note\n16,proposed3,3,42;43;41,18,,x\n",
+            "line 2: expected 6 fields, got 7",
+        ),
+    ],
+)
+def test_rows_from_csv_rejects_empty_text_or_a_record_of_the_wrong_width(text, message):
+    with pytest.raises(ValueError) as exc:
+        rows_from_csv(text)
+    assert str(exc.value) == message
+
+
 def test_compare_markdown(capsys):
     code, out, _ = invoke(
         capsys,

@@ -171,11 +171,29 @@ def test_shared_step_function2_equals_fresh_build(e):
     assert len(prog.steps) == (1 if e < 2 else e + 1)
     assert parse_program(render_program(prog)) == prog
     assert builtin_function2(e) == prog
+    assert prog._placeholders == _fresh_function2(e)._placeholders
 
 
 def test_shared_function1_equals_fresh_build():
     assert builtin_function1() == _fresh_function1()
     assert builtin_function1() == builtin_function1()
+    assert builtin_function1()._placeholders == (("a", "X"), ("b", "Y"), ("b", "Z"))
+
+
+def test_placeholder_record_is_left_out_of_equality_hash_and_repr():
+    s = Step(inject_a="X", inject_b=3, add_l=Source.IN1, add_r=Source.IN2)
+    p = Microprogram("p", (s, Step(inject_b="Y")))
+    assert (s._placeholders, p._placeholders) == ((("a", "X"),), (("a", "X"), ("b", "Y")))
+    # a twin whose record is blanked must still compare, hash and print the same
+    twin_s = Step(inject_a="X", inject_b=3, add_l=Source.IN1, add_r=Source.IN2)
+    twin_p = Microprogram("p", (twin_s, Step(inject_b="Y")))
+    object.__setattr__(twin_s, "_placeholders", ())
+    object.__setattr__(twin_p, "_placeholders", ())
+    for built, twin in ((s, twin_s), (p, twin_p)):
+        assert built == twin
+        assert hash(built) == hash(twin)
+        assert repr(built) == repr(twin)
+        assert "_placeholders" not in repr(built)
 
 
 def test_function2_negative_exponent_rejected():
@@ -443,6 +461,26 @@ def _steps(draw, injections=_injections):
 def test_render_parse_roundtrip_property(name, steps):
     prog = Microprogram(name=name, steps=tuple(steps))
     assert parse_program(render_program(prog)) == prog
+
+
+def _scanned_placeholders(prog):
+    """The (label, name) pairs found by walking every step, a before b."""
+    return tuple(
+        (label, name)
+        for s in prog.steps
+        for label, name in (("a", s.inject_a), ("b", s.inject_b))
+        if isinstance(name, str)
+    )
+
+
+@given(steps=st.lists(_steps(), max_size=6), repeats=st.lists(st.integers(0, 5), max_size=4))
+@settings(max_examples=200)
+def test_placeholder_record_matches_a_scan_of_the_steps(steps, repeats):
+    # repeated references to one Step object, as the built-ins share theirs
+    steps = steps + [steps[i] for i in repeats if i < len(steps)]
+    prog = Microprogram("p", steps)
+    assert prog._placeholders == _scanned_placeholders(prog)
+    assert parse_program(render_program(prog))._placeholders == prog._placeholders
 
 
 @given(s=_steps(), data=st.data())

@@ -125,7 +125,12 @@ root_values = st.one_of(
         lambda width: st.integers(min_value=1 << (width - 1), max_value=(1 << width) - 1)
     ),
 )
-WIDE_POWERS = [(2**683 - 1, 3), (3**40, 64), (2**128 - 1, 64), (10**500 + 7, 2)]
+WIDE_POWERS = [
+    (2**683 - 1, 3), (3**40, 64), (2**128 - 1, 64), (10**500 + 7, 2),
+    # wide roots at the generator's cardinalities, up to 24, where Newton
+    # starts from the root of v's top bits
+    (2**86 - 1, 24), (3**54 + 2, 17), (10**40 + 1, 8), (2**400 + 3, 5),
+]
 
 
 def at_powers(**extra):

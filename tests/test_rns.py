@@ -159,23 +159,39 @@ def test_length_mismatch_rejected():
         RnsNumber((1, 2), CTX.moduli_set)
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        pytest.param(lambda ok, bad: rns_add(CTX, bad, ok), id="rns_add-a"),
-        pytest.param(lambda ok, bad: rns_add(CTX, ok, bad), id="rns_add-b"),
-        pytest.param(lambda ok, bad: rns_sub(CTX, bad, ok), id="rns_sub-a"),
-        pytest.param(lambda ok, bad: rns_sub(CTX, ok, bad), id="rns_sub-b"),
-        pytest.param(lambda ok, bad: rns_mul(CTX, bad, ok), id="rns_mul-a"),
-        pytest.param(lambda ok, bad: rns_mul(CTX, ok, bad), id="rns_mul-b"),
-        pytest.param(lambda ok, bad: rns_pow(CTX, bad, 2), id="rns_pow-a"),
-        pytest.param(lambda ok, bad: from_rns(CTX, bad), id="from_rns-a"),
-    ],
-)
-def test_context_mismatch_rejected(call):
+# Each position in which a channel op or from_rns takes an operand, as
+# call(ok, other) with `other` in that position and ok formed by CTX, and
+# the value it gives for ok = 20 and other = 11 over CTX's moduli.
+OPERAND_POSITIONS = [
+    pytest.param(lambda ok, other: rns_add(CTX, other, ok), 31, id="rns_add-a"),
+    pytest.param(lambda ok, other: rns_add(CTX, ok, other), 31, id="rns_add-b"),
+    pytest.param(lambda ok, other: rns_sub(CTX, other, ok), 495, id="rns_sub-a"),
+    pytest.param(lambda ok, other: rns_sub(CTX, ok, other), 9, id="rns_sub-b"),
+    pytest.param(lambda ok, other: rns_mul(CTX, other, ok), 220, id="rns_mul-a"),
+    pytest.param(lambda ok, other: rns_mul(CTX, ok, other), 220, id="rns_mul-b"),
+    pytest.param(lambda ok, other: rns_pow(CTX, other, 2), 121, id="rns_pow-a"),
+    pytest.param(lambda ok, other: from_rns(CTX, other), 11, id="from_rns-a"),
+]
+
+
+@pytest.mark.parametrize("call,value", OPERAND_POSITIONS)
+def test_context_mismatch_rejected(call, value):
     other = RnsContext(ModuliSet((5, 6, 7)))
-    with pytest.raises(RnsError, match="^context mismatch"):
-        call(to_rns(CTX, 1), to_rns(other, 1))
+    with pytest.raises(RnsError) as exc:
+        call(to_rns(CTX, 20), to_rns(other, 11))
+    assert str(exc.value) == "context mismatch: operand built over (5, 6, 7), context over (8, 9, 7)"
+
+
+@pytest.mark.parametrize("call,value", OPERAND_POSITIONS)
+def test_equal_set_accepted_in_every_operand_position(call, value):
+    # an equal but distinct ModuliSet fails the identity test and passes by value
+    twin = RnsContext(ModuliSet((8, 9, 7)))
+    assert twin.moduli_set is not CTX.moduli_set
+    result = call(to_rns(CTX, 20), to_rns(twin, 11))
+    if isinstance(result, RnsNumber):
+        assert result.moduli_set is CTX.moduli_set
+        result = from_rns(CTX, result)
+    assert result == value
 
 
 def test_equal_sets_built_separately_mix():
