@@ -25,12 +25,10 @@ class NotCoprimeError(ValueError):
 def ceil_nth_root(v: int, n: int, *, start: int | None = None) -> int:
     """Smallest r with r**n >= v, i.e. the ceiling of the real n-th root.
 
-    Requires v >= 1 and n >= 1.  Exact integer Newton iteration from above.
-    Without `start` it begins at _root_above(v, n), which is near a wide
-    root: the root of v's top bits, shifted back up.  A caller that knows
-    an upper bound on the root passes it as `start`: an int >= 1 with
-    start**n >= v, else ValueError; Newton then begins at the smaller of
-    start and 2**ceil(bitlen/n) > v**(1/n).
+    Requires v >= 1 and n >= 1.  Exact integer Newton iteration from above,
+    starting at 2**ceil(bitlen/n) > v**(1/n), or at `start` when that is
+    smaller.  A caller that knows an upper bound on the root passes it as
+    `start`: an int >= 1 with start**n >= v, else ValueError.
     """
     if v < 1:
         raise ValueError(f"ceil_nth_root requires v >= 1, got {v}")
@@ -40,9 +38,8 @@ def ceil_nth_root(v: int, n: int, *, start: int | None = None) -> int:
         raise ValueError(f"ceil_nth_root start must be >= 1 with start**n >= v, got {start}")
     if n == 1:
         return v
-    if start is None:
-        return _newton_root(v, n, _root_above(v, n))
-    return _newton_root(v, n, min(1 << ((v.bit_length() + n - 1) // n), start))
+    x = 1 << ((v.bit_length() + n - 1) // n)
+    return _newton_root(v, n, x if start is None else min(x, start))
 
 
 def _newton_root(v: int, n: int, x: int) -> int:
@@ -55,43 +52,6 @@ def _newton_root(v: int, n: int, x: int) -> int:
     while (y := ((n - 1) * x + v // x ** (n - 1)) // n) < x:
         x = y
     return x if x**n >= v else x + 1
-
-
-def _root_above(v: int, n: int) -> int:
-    """An int x with x**n > v, for n >= 2: Newton's start for v.
-
-    A root under 2 * _DIRECT_HALF bits starts at 2**ceil(bitlen/n).  A
-    wider one starts from the root of v's top bits, shifted back up: with
-    h half the root's bit count and t = v >> (n * h), any int y at or
-    above the floor of t's root has (y + 1)**n >= t + 1, so
-    ((y + 1) << h)**n >= (t + 1) << (n * h) > v; _near_root(t, n) is such
-    a y, close to it.  From there Newton on v takes a few steps; from the
-    power of two, up to twice the root, each step shrinks x by only about
-    (n - 1)/n until it is close.
-    """
-    h = v.bit_length() // (2 * n)
-    if h < _DIRECT_HALF:
-        return 1 << ((v.bit_length() + n - 1) // n)
-    return (_near_root(v >> (n * h), n) + 1) << h
-
-
-def _near_root(v: int, n: int) -> int:
-    """An int at or above the floor of v's real n-th root, and near it, for n >= 2.
-
-    A narrow root is exact, by Newton from the power of two.  A wide one
-    is one Newton step from _root_above(v, n): a step lands at or above
-    the floor of the root from any start, and roughly squares the start's
-    relative error, so each level of top bits doubles the bits that agree.
-    """
-    x = _root_above(v, n)
-    if v.bit_length() // (2 * n) < _DIRECT_HALF:
-        return _newton_root(v, n, x)
-    return ((n - 1) * x + v // x ** (n - 1)) // n
-
-
-# Half the root's bits below which Newton starts at a power of two: on
-# such small ints more levels of top bits cost more than they save.
-_DIRECT_HALF = 12
 
 
 def mod_inverse(a: int, m: int) -> int:

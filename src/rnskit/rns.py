@@ -166,12 +166,7 @@ def to_rns(ctx: RnsContext, x: int) -> RnsNumber:
         raise TypeError(f"value {x!r} is not an int")
     if x < 0:
         raise RnsError(f"negative values are unsupported, got {x}")
-    tree = ctx._tree
-    product, moduli, halves = tree
-    if halves:
-        return _reduced(_remainders(x, tree), ctx.moduli_set)
-    x %= product
-    return _reduced(tuple(map(mod, repeat(x), moduli)), ctx.moduli_set)
+    return _reduced(_remainders(x, ctx._tree), ctx.moduli_set)
 
 
 def from_rns(ctx: RnsContext, value: RnsNumber) -> int:

@@ -13,6 +13,7 @@ import io
 from dataclasses import dataclass
 
 from .moduli import SchemeId, baseline, bit_cost, find_moduli, GenerationRequest
+from .numbers import parse_decimal
 
 __all__ = [
     "ComparisonRow",
@@ -95,9 +96,9 @@ def rows_to_csv(rows) -> str:
 def rows_from_csv(text: str) -> list[ComparisonRow]:
     """Inverse of rows_to_csv; recovers every field exactly.
 
-    Empty text, a wrong header, a record without six fields (named by
-    its line) and a cardinality that does not match the moduli raise
-    ValueError.
+    Empty text, a wrong header and a cardinality that does not match the
+    moduli raise ValueError, as do a record without six fields, a number
+    that parse_decimal rejects and an unknown scheme, each named by line.
     """
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
@@ -108,24 +109,35 @@ def rows_from_csv(text: str) -> list[ComparisonRow]:
         raise ValueError(f"unexpected CSV header {header!r}")
     rows = []
     for record in reader:
+        line = reader.line_num
         if len(record) != len(CSV_HEADER):
-            raise ValueError(
-                f"line {reader.line_num}: expected {len(CSV_HEADER)} fields, got {len(record)}"
-            )
+            raise ValueError(f"line {line}: expected {len(CSV_HEADER)} fields, got {len(record)}")
         bits, scheme, cardinality, moduli, cost, note = record
-        parsed = tuple(int(m) for m in moduli.split(";"))
-        if len(parsed) != int(cardinality):
+        bits = _field(line, "bits", bits)
+        try:
+            scheme = SchemeId.parse(scheme)
+        except ValueError as exc:
+            raise type(exc)(f"line {line}: {exc}") from None
+        parsed = tuple(_field(line, "modulus", m) for m in moduli.split(";"))
+        if len(parsed) != _field(line, "cardinality", cardinality):
             raise ValueError(f"cardinality {cardinality} does not match {moduli!r}")
         rows.append(
             ComparisonRow(
-                bits=int(bits),
-                scheme=SchemeId.parse(scheme),
+                bits=bits,
+                scheme=scheme,
                 moduli=parsed,
-                bit_cost=int(cost),
+                bit_cost=_field(line, "bit_cost", cost),
                 deviation_note=note or None,
             )
         )
     return rows
+
+
+def _field(line: int, name: str, text: str) -> int:
+    value = parse_decimal(text)
+    if value is None:
+        raise ValueError(f"line {line}: bad {name} {text!r}")
+    return value
 
 
 def rows_to_markdown(rows) -> str:

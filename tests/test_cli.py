@@ -145,6 +145,23 @@ def test_rows_from_csv_rejects_empty_text_or_a_record_of_the_wrong_width(text, m
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "record,message",
+    [
+        ("16,proposed3,x,42;43;41,18,", "line 2: bad cardinality 'x'"),
+        ("16,proposed3,3,42;;41,18,", "line 2: bad modulus ''"),
+        ("x,proposed3,3,42;43;41,18,", "line 2: bad bits 'x'"),
+        ("16,proposed3,3,42;43;41,,", "line 2: bad bit_cost ''"),
+        ("16,proposed3,3,+42;43;41,18,", "line 2: bad modulus '+42'"),
+        ("16,bogus,3,42;43;41,18,", "line 2: unknown scheme 'bogus'"),
+    ],
+)
+def test_rows_from_csv_names_the_line_and_field_of_a_bad_value(record, message):
+    with pytest.raises(ValueError) as exc:
+        rows_from_csv(f"bits,scheme,cardinality,moduli,bit_cost,note\n{record}\n")
+    assert str(exc.value) == message
+
+
 def test_compare_markdown(capsys):
     code, out, _ = invoke(
         capsys,

@@ -127,9 +127,9 @@ root_values = st.one_of(
 )
 WIDE_POWERS = [
     (2**683 - 1, 3), (3**40, 64), (2**128 - 1, 64), (10**500 + 7, 2),
-    # wide roots at the generator's cardinalities, up to 24, where Newton
-    # starts from the root of v's top bits
-    (2**86 - 1, 24), (3**54 + 2, 17), (10**40 + 1, 8), (2**400 + 3, 5),
+    # wide roots at the generator's cardinalities, up to 24, and 2**128 for
+    # (2**8192 - 1, 64), the widest request, where Newton starts at the root
+    (2**86 - 1, 24), (3**54 + 2, 17), (10**40 + 1, 8), (2**400 + 3, 5), (2**128, 64),
 ]
 
 

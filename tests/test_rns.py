@@ -79,10 +79,19 @@ def remainder_oracle(moduli, x):
     return tuple(x % m for m in moduli)
 
 
-@pytest.mark.parametrize("moduli", WIDE_SETS)
+# 15 * 2**k is k + 4 bits wide: one set at _LEAF_BITS, one a bit past it
+LEAF_EDGE_SETS = [
+    pytest.param((2 ** (_LEAF_BITS - 4), 3, 5), id="one-leaf-at-leaf-bits"),
+    pytest.param((2 ** (_LEAF_BITS - 3), 3, 5), id="two-leaves-past-leaf-bits"),
+]
+
+
+@pytest.mark.parametrize("moduli", WIDE_SETS + LEAF_EDGE_SETS)
 def test_forward_wide_sets_match_remainders(moduli):
     ctx = RnsContext(ModuliSet(moduli))
     total = ctx.moduli_set.dynamic_range
+    # to_rns walks the tree either way: one leaf up to _LEAF_BITS, more past it
+    assert (tree_leaves(ctx._tree) == [tuple(moduli)]) == (total.bit_length() <= _LEAF_BITS)
     for x in (0, 1, total - 1, total, 2 * total + 7):
         assert to_rns(ctx, x).residues == remainder_oracle(moduli, x)
 
