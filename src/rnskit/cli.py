@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import cache
-from pathlib import Path
 
 from .datapath import (
     ProgramParseError,
@@ -189,7 +188,8 @@ def cmd_run(args) -> int:
         prog = builtin_function2(_at_most(bindings.pop("E"), MAX_EXPONENT, "exponent E"))
     else:
         try:
-            text = Path(args.program).read_text(encoding="utf-8")
+            with open(args.program, encoding="utf-8") as file:
+                text = file.read()
         except UnicodeDecodeError as exc:
             raise _UsageError(f"{args.program}: {exc}") from None
         prog = parse_program(text)

@@ -16,11 +16,11 @@ not a silent zero.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 from operator import attrgetter
 
+from ._record import Record
 from .numbers import parse_decimal
 from .rns import RnsContext, RnsNumber, from_rns, rns_add, rns_mul, rns_sub, to_rns
 
@@ -105,8 +105,7 @@ def _check_injection(label: str, value) -> None:
         _check_unsigned(label, value)
 
 
-@dataclass(frozen=True, slots=True)
-class Step:
+class Step(Record):
     """One microprogram step: injections, unit selects, and the emit select.
 
     inject_a / inject_b are unsigned ints (not bools), placeholder names
@@ -116,25 +115,22 @@ class Step:
     here too; they are left out of equality, hash and repr.
     """
 
-    inject_a: int | str | None = None
-    inject_b: int | str | None = None
-    add_l: Source = Source.NONE
-    add_r: Source = Source.NONE
-    sub_l: Source = Source.NONE
-    sub_r: Source = Source.NONE
-    mul_l: Source = Source.NONE
-    mul_r: Source = Source.NONE
-    emit: Source = Source.NONE
-    _placeholders: tuple[tuple[str, str], ...] = field(init=False, repr=False, compare=False)
+    FIELDS = ("inject_a", "inject_b", "add_l", "add_r", "sub_l", "sub_r", "mul_l", "mul_r", "emit")
+    __slots__ = (*FIELDS, "_placeholders")
 
-    def __post_init__(self) -> None:
-        _check_injection("a", self.inject_a)
-        _check_injection("b", self.inject_b)
-        for name, l, r in _unit_selects(self):
-            if (l is Source.NONE) != (r is Source.NONE):
+    def __init__(
+        self, inject_a: int | str | None = None, inject_b: int | str | None = None,
+        add_l: Source = _NONE, add_r: Source = _NONE, sub_l: Source = _NONE,
+        sub_r: Source = _NONE, mul_l: Source = _NONE, mul_r: Source = _NONE, emit: Source = _NONE,
+    ) -> None:
+        _check_injection("a", inject_a)
+        _check_injection("b", inject_b)
+        for name, l, r in (("add", add_l, add_r), ("sub", sub_l, sub_r), ("mul", mul_l, mul_r)):
+            if (l is _NONE) != (r is _NONE):
                 raise ValueError(f"{name} selects must both be set or both NONE")
-        pairs = (("a", self.inject_a), ("b", self.inject_b))
-        object.__setattr__(self, "_placeholders", tuple(p for p in pairs if isinstance(p[1], str)))
+        pairs = (("a", inject_a), ("b", inject_b))
+        values = (inject_a, inject_b, add_l, add_r, sub_l, sub_r, mul_l, mul_r, emit)
+        self.__setstate__((*values, tuple(p for p in pairs if isinstance(p[1], str))))
 
 
 def _unit_selects(s: Step) -> tuple[tuple[str, Source, Source], ...]:
@@ -144,8 +140,7 @@ def _unit_selects(s: Step) -> tuple[tuple[str, Source, Source], ...]:
 _PAIRS = attrgetter("_placeholders")
 
 
-@dataclass(frozen=True, slots=True)
-class Microprogram:
+class Microprogram(Record):
     """Named, ordered list of steps, executed once each in order.
 
     The placeholder pairs of all steps, in step order, are joined here
@@ -153,18 +148,18 @@ class Microprogram:
     left out of equality, hash and repr.
     """
 
-    name: str
-    steps: tuple[Step, ...]
-    _placeholders: tuple[tuple[str, str], ...] = field(init=False, repr=False, compare=False)
+    FIELDS = ("name", "steps")
+    __slots__ = (*FIELDS, "_placeholders")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, steps: tuple[Step, ...]) -> None:
         # a non-empty token is exactly the one piece that split() leaves
-        if self.name.split() != [self.name]:
-            raise ValueError(f"program name must be a non-empty token, got {self.name!r}")
-        steps = tuple(self.steps)
-        object.__setattr__(self, "steps", steps)
+        if name.split() != [name]:
+            raise ValueError(f"program name must be a non-empty token, got {name!r}")
+        steps = tuple(steps)
         # most steps hold no placeholder: filter drops their empty tuples in C
         pairs = chain.from_iterable(filter(None, map(_PAIRS, steps)))
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "_placeholders", tuple(pairs))
 
 

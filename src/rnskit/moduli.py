@@ -13,9 +13,9 @@ the sum of the moduli's binary bit-lengths, and lower is better.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd, prod
 
+from ._record import Record
 from .numbers import ceil_nth_root, parse_decimal
 
 __all__ = [
@@ -53,19 +53,17 @@ class RangeTooSmallError(ValueError):
     """The bit budget is too small for the request (a modulus < 2 would result)."""
 
 
-@dataclass(frozen=True, slots=True)
-class ModuliSet:
+class ModuliSet(Record):
     """Ordered moduli with their cached dynamic range (exact product).
 
     Moduli must be ints (not bools), but may be invalid so that candidate
     sets can be inspected; `validate` reports >= 2 / coprimality / range violations.
     """
 
-    moduli: tuple[int, ...]
-    dynamic_range: int = field(init=False)
+    __slots__ = FIELDS = ("moduli", "dynamic_range")
 
-    def __post_init__(self) -> None:
-        ms = tuple(self.moduli)
+    def __init__(self, moduli: tuple[int, ...]) -> None:
+        ms = tuple(moduli)
         for m in ms:
             if isinstance(m, bool) or not isinstance(m, int):
                 raise TypeError(f"modulus {m!r} is not an int")
@@ -79,24 +77,21 @@ class ModuliSet:
         return iter(self.moduli)
 
 
-@dataclass(frozen=True, slots=True)
-class GenerationRequest:
+class GenerationRequest(Record):
     """Target width in bits and the number of moduli to generate."""
 
-    bits: int
-    cardinality: int
+    __slots__ = FIELDS = ("bits", "cardinality")
 
-    def __post_init__(self) -> None:
-        if self.cardinality < 3:
-            raise CardinalityError(
-                f"cardinality must be >= 3, got {self.cardinality}"
-            )
-        if self.bits < 2:
-            raise RangeTooSmallError(f"bits must be >= 2, got {self.bits}")
+    def __init__(self, bits: int, cardinality: int) -> None:
+        if cardinality < 3:
+            raise CardinalityError(f"cardinality must be >= 3, got {cardinality}")
+        if bits < 2:
+            raise RangeTooSmallError(f"bits must be >= 2, got {bits}")
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "cardinality", cardinality)
 
 
-@dataclass(frozen=True, slots=True)
-class ExtraChoice:
+class ExtraChoice(Record):
     """One greedy fill step beyond the triple.
 
     k is the exact ceiling of remaining-range over product-so-far, k_root
@@ -105,42 +100,47 @@ class ExtraChoice:
     picked before it.
     """
 
-    k: int
-    k_root: int
-    chosen: int
+    __slots__ = FIELDS = ("k", "k_root", "chosen")
+
+    def __init__(self, k: int, k_root: int, chosen: int) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "k_root", k_root)
+        object.__setattr__(self, "chosen", chosen)
 
 
-@dataclass(frozen=True, slots=True)
-class GenerationTrace:
+class GenerationTrace(Record):
     """Intermediate generator quantities, kept for inspection and audits."""
 
-    x: int
-    center: int
-    extras: tuple[ExtraChoice, ...]
+    __slots__ = FIELDS = ("x", "center", "extras")
+
+    def __init__(self, x: int, center: int, extras: tuple[ExtraChoice, ...]) -> None:
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "extras", extras)
 
 
-@dataclass(frozen=True, slots=True)
-class SchemeId:
+class SchemeId(Record):
     """Identifies a generation scheme: ours at some cardinality, or a baseline.
 
     family is "proposed" (cardinality >= 3 required) or one of the
     power-of-two baseline families "sm1", "sm2", "sm3".
     """
 
-    family: str
-    cardinality: int | None = None
+    __slots__ = FIELDS = ("family", "cardinality")
 
-    def __post_init__(self) -> None:
-        if self.family == "proposed":
-            if self.cardinality is None or self.cardinality < 3:
+    def __init__(self, family: str, cardinality: int | None = None) -> None:
+        if family == "proposed":
+            if cardinality is None or cardinality < 3:
                 raise CardinalityError(
-                    f"proposed scheme needs cardinality >= 3, got {self.cardinality}"
+                    f"proposed scheme needs cardinality >= 3, got {cardinality}"
                 )
-        elif self.family in BASELINE_FAMILIES:
-            if self.cardinality is not None:
-                raise ValueError(f"{self.family} does not take a cardinality")
+        elif family in BASELINE_FAMILIES:
+            if cardinality is not None:
+                raise ValueError(f"{family} does not take a cardinality")
         else:
-            raise ValueError(f"unknown scheme family {self.family!r}")
+            raise ValueError(f"unknown scheme family {family!r}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "cardinality", cardinality)
 
     @classmethod
     def parse(cls, label: str) -> "SchemeId":
@@ -162,13 +162,18 @@ class SchemeId:
         return self.family
 
 
-@dataclass(frozen=True, slots=True)
-class ValidationReport:
+class ValidationReport(Record):
     """Outcome of the three structural checks on a candidate set."""
 
-    small_moduli: tuple[int, ...]
-    conflicting_pairs: tuple[tuple[int, int], ...]
-    shortfall: int
+    __slots__ = FIELDS = ("small_moduli", "conflicting_pairs", "shortfall")
+
+    def __init__(
+        self, small_moduli: tuple[int, ...], conflicting_pairs: tuple[tuple[int, int], ...],
+        shortfall: int,
+    ) -> None:
+        object.__setattr__(self, "small_moduli", small_moduli)
+        object.__setattr__(self, "conflicting_pairs", conflicting_pairs)
+        object.__setattr__(self, "shortfall", shortfall)
 
     @property
     def moduli_ok(self) -> bool:

@@ -19,11 +19,11 @@ y_i = M_i^-1 mod m_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import repeat
 from math import gcd, prod
 from operator import add, mod, mul, sub
 
+from ._record import Record
 from .moduli import ModuliSet, structural_faults
 from .numbers import NotCoprimeError, mod_inverse
 
@@ -70,8 +70,7 @@ def _remainders(x: int, node: tuple) -> tuple[int, ...]:
     return tuple(map(mod, repeat(x), moduli))
 
 
-@dataclass(frozen=True, slots=True)
-class RnsContext:
+class RnsContext(Record):
     """A validated moduli set plus its per-channel CRT coefficients.
 
     crt_coeffs[i] is M_i * y_i: 1 modulo the i-th modulus and 0 modulo
@@ -80,10 +79,15 @@ class RnsContext:
     construction; safe to share across threads.
     """
 
-    moduli_set: ModuliSet
-    crt_coeffs: tuple[int, ...] = field(init=False)
-    _tree: tuple = field(init=False, repr=False, compare=False)
+    FIELDS = ("moduli_set", "crt_coeffs")
+    __slots__ = (*FIELDS, "_tree")
 
+    def __init__(self, moduli_set: ModuliSet) -> None:
+        object.__setattr__(self, "moduli_set", moduli_set)
+        self.__post_init__()
+
+    # the build, called through self: the traced benchmark times it as
+    # rns.context_build by wrapping this class attribute
     def __post_init__(self) -> None:
         ms = self.moduli_set.moduli
         if not ms:
@@ -104,29 +108,27 @@ class RnsContext:
         object.__setattr__(self, "_tree", _remainder_tree(ms, total))
 
 
-@dataclass(frozen=True, slots=True)
-class RnsNumber:
+class RnsNumber(Record):
     """Residue vector bound to the moduli set it was formed against."""
 
-    residues: tuple[int, ...]
-    moduli_set: ModuliSet
+    __slots__ = FIELDS = ("residues", "moduli_set")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "residues", tuple(self.residues))
-        ms = self.moduli_set.moduli
-        if len(self.residues) != len(ms):
-            raise RnsError(
-                f"expected {len(ms)} residues, got {len(self.residues)}"
-            )
-        for r, m in zip(self.residues, ms):
+    def __init__(self, residues: tuple[int, ...], moduli_set: ModuliSet) -> None:
+        residues = tuple(residues)
+        ms = moduli_set.moduli
+        if len(residues) != len(ms):
+            raise RnsError(f"expected {len(ms)} residues, got {len(residues)}")
+        for r, m in zip(residues, ms):
             if not isinstance(r, int):
                 raise TypeError(f"residue {r!r} is not an int")
             if not 0 <= r < m:
                 raise RnsError(f"residue {r} out of range for modulus {m}")
+        object.__setattr__(self, "residues", residues)
+        object.__setattr__(self, "moduli_set", moduli_set)
 
 
-# slot setters bound once: a computed result is built without __init__,
-# __post_init__ or the frozen __setattr__
+# slot setters bound once: a computed result is built without __init__
+# or the immutable __setattr__
 _new = object.__new__
 _set_residues = RnsNumber.residues.__set__
 _set_moduli_set = RnsNumber.moduli_set.__set__

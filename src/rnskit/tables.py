@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 
-from .moduli import SchemeId, baseline, bit_cost, find_moduli, GenerationRequest
+from ._record import Record
+from .moduli import ModuliSet, SchemeId, baseline, bit_cost, find_moduli, GenerationRequest
 from .numbers import parse_decimal
 
 __all__ = [
@@ -45,15 +45,20 @@ DEVIATION_NOTES: dict[tuple[int, str], str] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class ComparisonRow:
+class ComparisonRow(Record):
     """One (bits, scheme) cell: the generated set, its cost, and any note."""
 
-    bits: int
-    scheme: SchemeId
-    moduli: tuple[int, ...]
-    bit_cost: int
-    deviation_note: str | None = None
+    __slots__ = FIELDS = ("bits", "scheme", "moduli", "bit_cost", "deviation_note")
+
+    def __init__(
+        self, bits: int, scheme: SchemeId, moduli: tuple[int, ...], bit_cost: int,
+        deviation_note: str | None = None,
+    ) -> None:
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "scheme", scheme)
+        object.__setattr__(self, "moduli", moduli)
+        object.__setattr__(self, "bit_cost", bit_cost)
+        object.__setattr__(self, "deviation_note", deviation_note)
 
 
 def comparison_row(bits: int, scheme: SchemeId) -> ComparisonRow:
@@ -96,9 +101,12 @@ def rows_to_csv(rows) -> str:
 def rows_from_csv(text: str) -> list[ComparisonRow]:
     """Inverse of rows_to_csv; recovers every field exactly.
 
-    Empty text, a wrong header and a cardinality that does not match the
-    moduli raise ValueError, as do a record without six fields, a number
-    that parse_decimal rejects and an unknown scheme, each named by line.
+    Empty text and a wrong header raise ValueError, as does, named by its
+    line, a record rows_to_csv cannot write: one without six fields, a
+    number that parse_decimal rejects, an unknown scheme, bits or a
+    modulus below 2, a cardinality that does not count the moduli or is
+    not the scheme's (t for proposed<t>, 3 for a baseline), and a bit_cost
+    that is not the sum of the moduli's bit lengths.
     """
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
@@ -114,22 +122,24 @@ def rows_from_csv(text: str) -> list[ComparisonRow]:
             raise ValueError(f"line {line}: expected {len(CSV_HEADER)} fields, got {len(record)}")
         bits, scheme, cardinality, moduli, cost, note = record
         bits = _field(line, "bits", bits)
+        if bits < 2:
+            raise ValueError(f"line {line}: bits must be >= 2, got {bits}")
         try:
             scheme = SchemeId.parse(scheme)
         except ValueError as exc:
             raise type(exc)(f"line {line}: {exc}") from None
         parsed = tuple(_field(line, "modulus", m) for m in moduli.split(";"))
+        if min(parsed) < 2:
+            raise ValueError(f"line {line}: modulus {min(parsed)} < 2")
         if len(parsed) != _field(line, "cardinality", cardinality):
-            raise ValueError(f"cardinality {cardinality} does not match {moduli!r}")
-        rows.append(
-            ComparisonRow(
-                bits=bits,
-                scheme=scheme,
-                moduli=parsed,
-                bit_cost=_field(line, "bit_cost", cost),
-                deviation_note=note or None,
-            )
-        )
+            raise ValueError(f"line {line}: cardinality {cardinality} does not match {moduli!r}")
+        count = scheme.cardinality or 3  # every baseline family is a triple
+        if len(parsed) != count:
+            raise ValueError(f"line {line}: {scheme.label} takes {count} moduli, got {len(parsed)}")
+        cost, width = _field(line, "bit_cost", cost), bit_cost(ModuliSet(parsed))
+        if cost != width:
+            raise ValueError(f"line {line}: bit_cost {cost} is not the moduli's {width}")
+        rows.append(ComparisonRow(bits, scheme, parsed, cost, note or None))
     return rows
 
 

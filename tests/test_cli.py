@@ -111,7 +111,7 @@ def test_compare_csv_roundtrip(capsys):
         ),
         (
             "bits,scheme,cardinality,moduli,bit_cost,note\n16,proposed3,4,42;43;41,18,\n",
-            "cardinality 4 does not match '42;43;41'",
+            "line 2: cardinality 4 does not match '42;43;41'",
         ),
     ],
 )
@@ -119,6 +119,37 @@ def test_rows_from_csv_rejects_a_bad_header_or_cardinality(text, message):
     with pytest.raises(ValueError) as exc:
         rows_from_csv(text)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "record,message",
+    [
+        ("-16,proposed3,3,-42;43;41,-18,", "line 3: bits must be >= 2, got -16"),
+        ("16,sm1,4,42;43;41;47,1,", "line 3: sm1 takes 3 moduli, got 4"),
+        ("1,proposed3,3,42;43;41,18,", "line 3: bits must be >= 2, got 1"),
+        ("16,proposed3,3,42;1;41,13,", "line 3: modulus 1 < 2"),
+        ("16,proposed3,3,42;43;0,12,", "line 3: modulus 0 < 2"),
+        ("16,proposed4,3,42;43;41,18,", "line 3: proposed4 takes 4 moduli, got 3"),
+        ("16,sm3,2,42;43,12,", "line 3: sm3 takes 3 moduli, got 2"),
+        ("16,proposed3,3,42;43;41,19,", "line 3: bit_cost 19 is not the moduli's 18"),
+        ("16,proposed3,3,42;43;41,0,", "line 3: bit_cost 0 is not the moduli's 18"),
+    ],
+)
+def test_rows_from_csv_rejects_a_record_rows_to_csv_cannot_write(record, message):
+    good = "16,proposed3,3,42;43;41,18,"
+    with pytest.raises(ValueError) as exc:
+        rows_from_csv(f"bits,scheme,cardinality,moduli,bit_cost,note\n{good}\n{record}\n")
+    assert str(exc.value) == message
+
+
+def test_rows_from_csv_accepts_the_smallest_legal_records():
+    text = "bits,scheme,cardinality,moduli,bit_cost,note\n2,sm1,3,2;3;5,7,\n2,proposed4,4,2;3;5;7,10,n\n"
+    rows = rows_from_csv(text)
+    assert [(row.bits, row.scheme.label, row.moduli, row.bit_cost) for row in rows] == [
+        (2, "sm1", (2, 3, 5), 7),
+        (2, "proposed4", (2, 3, 5, 7), 10),
+    ]
+    assert rows_to_csv(rows) == text
 
 
 @pytest.mark.parametrize(
