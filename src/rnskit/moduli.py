@@ -210,7 +210,8 @@ def find_moduli(req: GenerationRequest) -> tuple[ModuliSet, GenerationTrace]:
     one.  The even center puts 2 in the product, so the search visits odd
     candidates only, from max(k_root, 3).  Each is screened by a gcd with
     the product's odd prime factors below 60, and one that passes gets a
-    single gcd against the product of all picks.
+    gcd against the product of all picks, at most once per call: the
+    picks and the candidates already visited are skipped without it.
 
     Moduli are returned in generation order.  The accompanying trace
     records x, the final center, and every (k, k_root, chosen) step.
@@ -236,19 +237,28 @@ def find_moduli(req: GenerationRequest) -> tuple[ModuliSet, GenerationTrace]:
     # before left target / P <= k <= k_root**(n_j + 1) <= m**(n_j + 1) for
     # its pick m, so k_j = ceil(target / (P * m)) <= m**n_j.
     bound = center + 1
+    # The product only grows, so what an earlier slot found stays exact.
+    # A pick, or a candidate that shared a factor with the product, shares
+    # it with every later product: `seen` holds the odd picks and every
+    # candidate visited, and none gets a second full gcd.  k is carried by
+    # ceil(ceil(a / b) / m) = ceil(a / (b * m)).
+    seen = {center - 1, center + 1}
+    k = (target + product - 1) // product
     for j in range(1, req.cardinality - 2):
-        k = (target + product - 1) // product
         k_root = ceil_nth_root(k, req.cardinality - 2 - j, start=bound)
         # The even center puts 2 in the product, so only odd candidates can
         # be coprime to it.  A candidate sharing a factor with `small`
         # shares it with the product; one that passes gets the full gcd.
         small = gcd(product, SMALL_ODD_PRIMES)
         candidate = max(k_root, 3) | 1
-        while gcd(candidate, small) != 1 or gcd(candidate, product) != 1:
+        while candidate in seen or gcd(candidate, small) != 1 or gcd(candidate, product) != 1:
+            seen.add(candidate)
             candidate += 2
+        seen.add(candidate)
         extras.append(ExtraChoice(k=k, k_root=k_root, chosen=candidate))
         picked.append(candidate)
         product *= candidate
+        k = (k + candidate - 1) // candidate
         bound = candidate
     return ModuliSet(tuple(picked)), GenerationTrace(x, center, tuple(extras))
 

@@ -34,24 +34,22 @@ def ceil_nth_root(v: int, n: int, *, start: int | None = None) -> int:
         raise ValueError(f"ceil_nth_root requires v >= 1, got {v}")
     if n < 1:
         raise ValueError(f"ceil_nth_root requires n >= 1, got {n}")
-    if start is not None and (start < 1 or start**n < v):
-        raise ValueError(f"ceil_nth_root start must be >= 1 with start**n >= v, got {start}")
+    e = (v.bit_length() + n - 1) // n
+    x, p = 1 << e, 1 << (e * (n - 1))
+    if start is not None:
+        if start < 1 or (q := start ** (n - 1)) * start < v:
+            raise ValueError(f"ceil_nth_root start must be >= 1 with start**n >= v, got {start}")
+        if start < x:
+            x, p = start, q
     if n == 1:
         return v
-    x = 1 << ((v.bit_length() + n - 1) // n)
-    return _newton_root(v, n, x if start is None else min(x, start))
-
-
-def _newton_root(v: int, n: int, x: int) -> int:
-    """Ceiling n-th root of v, for n >= 2, by Newton from x.
-
-    From any x at or above s, the floor of the real root, the step is at
-    least s by AM-GM, and below x while x exceeds s; at x = s it is at
-    least x.  So the loop stops at s, and the answer is s or s + 1.
-    """
-    while (y := ((n - 1) * x + v // x ** (n - 1)) // n) < x:
-        x = y
-    return x if x**n >= v else x + 1
+    # From any x at or above s, the floor of the real root, the step is at
+    # least s by AM-GM, and below x while x exceeds s; at x = s it is at
+    # least x.  So the loop stops at s, and the answer is s or s + 1.  Each
+    # step takes one power, p = x**(n - 1), and p * x tests start and s.
+    while (y := ((n - 1) * x + v // p) // n) < x:
+        x, p = y, y ** (n - 1)
+    return x if p * x >= v else x + 1
 
 
 def mod_inverse(a: int, m: int) -> int:

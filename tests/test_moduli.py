@@ -1,3 +1,4 @@
+from collections import Counter
 from math import prod
 from pathlib import Path
 
@@ -271,6 +272,23 @@ def test_each_extra_is_minimal(cells):
                 assert not coprime_to_all(c, earlier)
 
 
+@pytest.mark.parametrize("bits,cardinality", [(2048, 24), (8192, 64), (300, 64), (640, 53)])
+def test_no_candidate_reaches_the_full_gcd_twice(monkeypatch, bits, cardinality):
+    # the product only grows, so a pick, or a candidate that once shared a
+    # factor with it, fails every later slot too: one full-width gcd is
+    # enough.  At (640, 53) later slots come back to 4399, a candidate that
+    # failed on the factor 83, not to a pick.
+    calls = []
+    monkeypatch.setattr("rnskit.moduli.gcd", lambda a, b: calls.append((a, b)) or gcd(a, b))
+    moduli_set, _ = gen(bits, cardinality)
+    monkeypatch.undo()
+    ms = moduli_set.moduli
+    products = {prod(ms[:i]) for i in range(3, len(ms))}
+    tested = Counter(a for a, b in calls if b in products)
+    assert set(ms[3:]) <= set(tested)  # every pick passed one, so the spy saw them
+    assert max(tested.values()) == 1, tested.most_common(1)
+
+
 def bisection_ceil_root(v, n):
     """The binary-search root, as in tests/test_numbers.py."""
     if n == 1:
@@ -323,7 +341,10 @@ def reference_generator(bits, cardinality):
 
 def test_generator_matches_reference_bit_for_bit():
     cells = [(bits, t) for bits in range(2, 301) for t in range(3, 25)]
-    for bits, t in cells + [(4096, 32), (8192, 3), (8192, 64)]:
+    # from (64, 40) on, high cardinalities spread the picks, so the walk
+    # crosses many earlier picks and candidates
+    extra_cells = [(4096, 32), (8192, 3), (8192, 64), (64, 40), (300, 64), (1024, 48), (4096, 64)]
+    for bits, t in cells + extra_cells:
         expected = reference_generator(bits, t)
         if expected is None:
             with pytest.raises(RangeTooSmallError):

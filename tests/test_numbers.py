@@ -98,8 +98,11 @@ def test_root_rejects_bad_domain():
     with pytest.raises(ValueError):
         ceil_nth_root(5, 0)
     # a start below 1, one whose n-th power is positive anyway (even n), one
-    # whose n-th power falls short of v, and a short one at n = 1
-    for v, n, start in [(5, 3, 0), (16, 4, -3), (65537, 4, 16), (6, 1, 5)]:
+    # whose n-th power falls short of v, a short one at n = 1, and one just
+    # short of a root at the generator's widths
+    wide = 2**2048 - 1
+    short = [(wide, 24, bisection_ceil_root(wide, 24) - 1)]
+    for v, n, start in [(5, 3, 0), (16, 4, -3), (65537, 4, 16), (6, 1, 5)] + short:
         with pytest.raises(ValueError, match=r"^ceil_nth_root start must be >= 1 with start\*\*n >= v, got -?\d+$"):
             ceil_nth_root(v, n, start=start)
 
