@@ -211,7 +211,10 @@ def run(
     for label, name in prog._placeholders:
         if name not in bindings:
             raise UnboundPlaceholderError(name)
-        _check_unsigned(label, bindings[name])
+        value = bindings[name]
+        # a plain unsigned int passes here; any other value gets the full check
+        if type(value) is not int or value < 0:
+            _check_unsigned(label, value)
     latches: dict[Source, RnsNumber] = {}
     outputs: list[int] = []
     trace: list[dict[Source, RnsNumber]] = []
@@ -224,17 +227,24 @@ def run(
 # --- Built-in programs -------------------------------------------------------
 
 
-# Programs are immutable, so the built-ins are assembled from steps built
-# and validated once, here; a call only puts references into a tuple.
+# Programs are immutable, so the built-ins are assembled from steps and
+# records built and validated once, here; a call at most puts references
+# into a tuple.
 _FUNCTION1 = Microprogram("function1", (
     Step(inject_a="X", inject_b="Y", add_l=Source.IN1, add_r=Source.IN2),
     Step(inject_b="Z", mul_l=Source.ADD, mul_r=Source.IN2),
     Step(emit=Source.MUL),
 ))
-_POW_BELOW_2 = ((Step(inject_a=1, emit=Source.IN1),), (Step(inject_a="X", emit=Source.IN1),))
+_POW_BELOW_2 = (
+    Microprogram("function2", (Step(inject_a=1, emit=Source.IN1),)),
+    Microprogram("function2", (Step(inject_a="X", emit=Source.IN1),)),
+)
 _POW_HEAD = (Step(inject_a="X", inject_b="X"), Step(mul_l=Source.IN1, mul_r=Source.IN2))
 _POW_LOOP = Step(mul_l=Source.MUL, mul_r=Source.IN1)
 _POW_EMIT = Step(emit=Source.MUL)
+# the loop and emit steps inject nothing, so every function2(e) with
+# e >= 2 has the placeholder record of its head
+_POW_PAIRS = Microprogram("function2", _POW_HEAD)._placeholders
 
 
 def builtin_function1() -> Microprogram:
@@ -253,14 +263,17 @@ def builtin_function2(e: int) -> Microprogram:
 
     e == 0 emits an injected constant 1 and e == 1 emits X directly;
     otherwise X is injected into both converters and e - 1 multiply steps
-    accumulate into the multiplier latch before the emit.  A call puts e + 1
-    references to shared steps, validated once at import, into a tuple.
+    accumulate into the multiplier latch before the emit.  A call validates
+    nothing: e < 2 returns a shared program, and e >= 2 builds one tuple of
+    e + 1 references to shared steps and shares one placeholder record.
     """
     if e < 0:
         raise ValueError(f"exponent must be >= 0, got {e}")
     if e < 2:
-        return Microprogram("function2", _POW_BELOW_2[e])
-    return Microprogram("function2", _POW_HEAD + (_POW_LOOP,) * (e - 2) + (_POW_EMIT,))
+        return _POW_BELOW_2[e]
+    prog = object.__new__(Microprogram)
+    prog.__setstate__(("function2", _POW_HEAD + (_POW_LOOP,) * (e - 2) + (_POW_EMIT,), _POW_PAIRS))
+    return prog
 
 
 # --- Program text format -----------------------------------------------------

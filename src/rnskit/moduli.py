@@ -244,12 +244,14 @@ def find_moduli(req: GenerationRequest) -> tuple[ModuliSet, GenerationTrace]:
     # ceil(ceil(a / b) / m) = ceil(a / (b * m)).
     seen = {center - 1, center + 1}
     k = (target + product - 1) // product
+    # The even center puts 2 in the product, so only odd candidates can be
+    # coprime to it.  A candidate sharing a factor with `small`, the
+    # product's odd primes below 60, shares it with the product; one that
+    # passes gets the full gcd.  Each pick is coprime to the product, so
+    # `small` grows by the pick's own small primes.
+    small = gcd(product, SMALL_ODD_PRIMES)
     for j in range(1, req.cardinality - 2):
         k_root = ceil_nth_root(k, req.cardinality - 2 - j, start=bound)
-        # The even center puts 2 in the product, so only odd candidates can
-        # be coprime to it.  A candidate sharing a factor with `small`
-        # shares it with the product; one that passes gets the full gcd.
-        small = gcd(product, SMALL_ODD_PRIMES)
         candidate = max(k_root, 3) | 1
         while candidate in seen or gcd(candidate, small) != 1 or gcd(candidate, product) != 1:
             seen.add(candidate)
@@ -258,6 +260,7 @@ def find_moduli(req: GenerationRequest) -> tuple[ModuliSet, GenerationTrace]:
         extras.append(ExtraChoice(k=k, k_root=k_root, chosen=candidate))
         picked.append(candidate)
         product *= candidate
+        small *= gcd(candidate, SMALL_ODD_PRIMES)
         k = (k + candidate - 1) // candidate
         bound = candidate
     return ModuliSet(tuple(picked)), GenerationTrace(x, center, tuple(extras))

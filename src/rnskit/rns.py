@@ -127,19 +127,12 @@ class RnsNumber(Record):
         object.__setattr__(self, "moduli_set", moduli_set)
 
 
-# slot setters bound once: a computed result is built without __init__
-# or the immutable __setattr__
+# slot setters bound once: a computed result, already reduced mod each
+# modulus, is built in place without __init__'s range check or the
+# immutable __setattr__
 _new = object.__new__
 _set_residues = RnsNumber.residues.__set__
 _set_moduli_set = RnsNumber.moduli_set.__set__
-
-
-def _reduced(residues: tuple[int, ...], moduli_set: ModuliSet) -> RnsNumber:
-    """An RnsNumber without the range check, for ints already reduced mod each modulus."""
-    number = _new(RnsNumber)
-    _set_residues(number, residues)
-    _set_moduli_set(number, moduli_set)
-    return number
 
 
 def _check_operand(ctx: RnsContext, value: RnsNumber) -> None:
@@ -159,7 +152,10 @@ def _channelwise(ctx: RnsContext, op, a: RnsNumber, b: RnsNumber) -> RnsNumber:
         _check_operand(ctx, a)
     if b.moduli_set is not ms:
         _check_operand(ctx, b)
-    return _reduced(tuple(map(mod, map(op, a.residues, b.residues), ms.moduli)), ms)
+    number = _new(RnsNumber)
+    _set_residues(number, tuple(map(mod, map(op, a.residues, b.residues), ms.moduli)))
+    _set_moduli_set(number, ms)
+    return number
 
 
 def to_rns(ctx: RnsContext, x: int) -> RnsNumber:
@@ -168,7 +164,10 @@ def to_rns(ctx: RnsContext, x: int) -> RnsNumber:
         raise TypeError(f"value {x!r} is not an int")
     if x < 0:
         raise RnsError(f"negative values are unsupported, got {x}")
-    return _reduced(_remainders(x, ctx._tree), ctx.moduli_set)
+    number = _new(RnsNumber)
+    _set_residues(number, _remainders(x, ctx._tree))
+    _set_moduli_set(number, ctx.moduli_set)
+    return number
 
 
 def from_rns(ctx: RnsContext, value: RnsNumber) -> int:
@@ -195,8 +194,12 @@ def rns_mul(ctx: RnsContext, a: RnsNumber, b: RnsNumber) -> RnsNumber:
 
 def rns_pow(ctx: RnsContext, a: RnsNumber, e: int) -> RnsNumber:
     """Channel-wise exponentiation (square-and-multiply per channel)."""
-    if a.moduli_set is not ctx.moduli_set:
+    ms = ctx.moduli_set
+    if a.moduli_set is not ms:
         _check_operand(ctx, a)
     if e < 0:
         raise RnsError(f"exponent must be >= 0, got {e}")
-    return _reduced(tuple(map(pow, a.residues, repeat(e), ctx.moduli_set.moduli)), ctx.moduli_set)
+    number = _new(RnsNumber)
+    _set_residues(number, tuple(map(pow, a.residues, repeat(e), ms.moduli)))
+    _set_moduli_set(number, ms)
+    return number

@@ -40,6 +40,8 @@ cases = [
     ("function2(0)", rnskit.builtin_function2(0)),
     ("function2(1)", rnskit.builtin_function2(1)),
     ("function2(5)", rnskit.builtin_function2(5)),
+    # the benchmark's largest exponent, on the program built without a step scan
+    ("function2(32)", rnskit.builtin_function2(32)),
     ("cross", rnskit.parse_program(SimNarrow.CROSS)),
 ]
 report = []
@@ -104,7 +106,7 @@ def test_traced_counts_match_program_fields():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    programs = ["function1", "function2(0)", "function2(1)", "function2(5)", "cross"]
+    programs = ["function1", "function2(0)", "function2(1)", "function2(5)", "function2(32)", "cross"]
     assert [name for name, _, _ in report] == [
         f"{ctx} {prog}" for ctx in ("narrow", "wide") for prog in programs
     ]

@@ -172,6 +172,10 @@ def test_shared_step_function2_equals_fresh_build(e):
     assert parse_program(render_program(prog)) == prog
     assert builtin_function2(e) == prog
     assert prog._placeholders == _fresh_function2(e)._placeholders
+    # every slot, the placeholder record included, as the constructor sets it
+    assert prog.__getstate__() == Microprogram("function2", prog.steps).__getstate__()
+    if e >= 2:
+        assert prog._placeholders is builtin_function2(2)._placeholders
 
 
 def test_shared_function1_equals_fresh_build():
@@ -214,6 +218,8 @@ def test_unbound_placeholder_names_it():
         {"X": 7.5, "Y": 1, "Z": 1},
         {"X": -1, "Y": 1, "Z": 1},
         {"X": 1, "Y": 1, "Z": -1},  # Z is first injected in step 1
+        {"X": "7", "Y": 1, "Z": 1},
+        {"X": 1, "Y": 1, "Z": 2.5},
     ],
 )
 def test_bad_bound_value_rejected_before_any_step(monkeypatch, bindings):
@@ -710,6 +716,26 @@ def _parity_cases(draw):
 def test_run_matches_reference_interpreter(case):
     ctx, prog, bindings = case
     assert _ran(run, ctx, prog, bindings) == _ran(_reference_run, ctx, prog, bindings)
+
+
+class _Count(int):
+    """An int subclass, as a library caller may bind one."""
+
+
+@pytest.mark.parametrize("value", [True, _Count(7), -1, 2.5, "7"], ids=repr)
+@pytest.mark.parametrize("name", ["X", "Z"])  # X is injected as a in step 0, Z as b in step 1
+def test_bound_value_outcome_is_the_full_check(name, value):
+    # run accepts a plain unsigned int inline; every other value must still
+    # get _check_unsigned's verdict and message, as the reference run does
+    bindings = {"X": 7, "Y": 1, "Z": 3, name: value}
+    outcome = _ran(run, CTX, builtin_function1(), bindings)
+    assert outcome == _ran(_reference_run, CTX, builtin_function1(), bindings)
+    if isinstance(value, int) and value >= 0:
+        assert outcome[1][0] == [(bindings["X"] + 1) * bindings["Z"] % 504]
+    else:
+        label = "a" if name == "X" else "b"
+        kind = "unsigned, got -1" if value == -1 else "an int or placeholder name"
+        assert outcome == ("fault", ValueError, (None, None, None), f"{label} injection must be {kind}")
 
 
 @pytest.mark.parametrize("unit", ["add", "sub", "mul"])

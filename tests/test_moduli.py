@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rnskit.moduli import (
+    SMALL_ODD_PRIMES,
     CardinalityError,
     ExtraChoice,
     GenerationRequest,
@@ -272,21 +273,50 @@ def test_each_extra_is_minimal(cells):
                 assert not coprime_to_all(c, earlier)
 
 
-@pytest.mark.parametrize("bits,cardinality", [(2048, 24), (8192, 64), (300, 64), (640, 53)])
-def test_no_candidate_reaches_the_full_gcd_twice(monkeypatch, bits, cardinality):
-    # the product only grows, so a pick, or a candidate that once shared a
-    # factor with it, fails every later slot too: one full-width gcd is
-    # enough.  At (640, 53) later slots come back to 4399, a candidate that
-    # failed on the factor 83, not to a pick.
+# cells with many extra slots; at (640, 53) later slots come back to
+# 4399, a candidate that failed on the factor 83, not to a pick
+SEARCH_CELLS = [(2048, 24), (8192, 64), (300, 64), (640, 53)]
+
+
+def gen_recording_gcd(monkeypatch, bits, cardinality):
+    """The generated set and every (a, b) the generator passed to gcd."""
     calls = []
     monkeypatch.setattr("rnskit.moduli.gcd", lambda a, b: calls.append((a, b)) or gcd(a, b))
     moduli_set, _ = gen(bits, cardinality)
     monkeypatch.undo()
+    return moduli_set, calls
+
+
+@pytest.mark.parametrize("bits,cardinality", SEARCH_CELLS)
+def test_no_candidate_reaches_the_full_gcd_twice(monkeypatch, bits, cardinality):
+    # the product only grows, so a pick, or a candidate that once shared a
+    # factor with it, fails every later slot too: one full-width gcd is
+    # enough
+    moduli_set, calls = gen_recording_gcd(monkeypatch, bits, cardinality)
     ms = moduli_set.moduli
     products = {prod(ms[:i]) for i in range(3, len(ms))}
     tested = Counter(a for a, b in calls if b in products)
     assert set(ms[3:]) <= set(tested)  # every pick passed one, so the spy saw them
     assert max(tested.values()) == 1, tested.most_common(1)
+
+
+@pytest.mark.parametrize("bits,cardinality", SEARCH_CELLS)
+def test_small_primes_never_meet_a_product_wider_than_the_triple(monkeypatch, bits, cardinality):
+    # each pick is coprime to the product, so the screen's small primes are
+    # carried pick by pick and only the triple's product is reduced by them
+    moduli_set, calls = gen_recording_gcd(monkeypatch, bits, cardinality)
+    ms = moduli_set.moduli
+    triple = prod(ms[:3])
+    screened = [a if b == SMALL_ODD_PRIMES else b for a, b in calls if SMALL_ODD_PRIMES in (a, b)]
+    assert triple in screened
+    assert max(x.bit_length() for x in screened) <= triple.bit_length()
+    # and the screen before each full gcd holds exactly that product's small primes
+    products = {prod(ms[:i]) for i in range(3, len(ms))}
+    full = [i for i, (a, b) in enumerate(calls) if b in products]
+    assert full
+    for i in full:
+        candidate, product = calls[i]
+        assert calls[i - 1] == (candidate, gcd(product, SMALL_ODD_PRIMES))
 
 
 def bisection_ceil_root(v, n):
