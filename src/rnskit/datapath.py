@@ -15,10 +15,7 @@ not a silent zero.
 
 from __future__ import annotations
 
-import re
 from enum import Enum
-from itertools import chain
-from operator import attrgetter
 
 from ._record import Record
 from .numbers import parse_decimal
@@ -37,9 +34,6 @@ __all__ = [
     "parse_program",
     "render_program",
 ]
-
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
 
 class Source(Enum):
     """A latch that a unit input or the output select can read."""
@@ -97,7 +91,8 @@ def _check_injection(label: str, value) -> None:
     if value is None:
         return
     if isinstance(value, str):
-        if not _IDENT.match(value):
+        # for ASCII text this is exactly [A-Za-z_][A-Za-z0-9_]*
+        if not (value.isascii() and value.isidentifier()):
             raise ValueError(f"{label} placeholder {value!r} is not an identifier")
     elif isinstance(value, bool):
         raise ValueError(f"{label} injection must be an int or placeholder name")
@@ -109,14 +104,13 @@ class Step(Record):
     """One microprogram step: injections, unit selects, and the emit select.
 
     inject_a / inject_b are unsigned ints (not bools), placeholder names
-    bound at run time, or None.  A unit computes this step iff both of its
-    selects are non-NONE; half-selected units are rejected at construction.
-    The step's (label, name) placeholder pairs, a before b, are recorded
-    here too; they are left out of equality, hash and repr.
+    bound at run time, or None.  Every select is a Source.  A unit computes
+    this step iff both of its selects are non-NONE; half-selected units are
+    rejected at construction.  Microprogram finds the placeholders.
     """
 
     FIELDS = ("inject_a", "inject_b", "add_l", "add_r", "sub_l", "sub_r", "mul_l", "mul_r", "emit")
-    __slots__ = (*FIELDS, "_placeholders")
+    __slots__ = FIELDS
 
     def __init__(
         self, inject_a: int | str | None = None, inject_b: int | str | None = None,
@@ -125,27 +119,22 @@ class Step(Record):
     ) -> None:
         _check_injection("a", inject_a)
         _check_injection("b", inject_b)
+        values = (inject_a, inject_b, add_l, add_r, sub_l, sub_r, mul_l, mul_r, emit)
+        for name, value in zip(self.FIELDS[2:], values[2:]):
+            if not isinstance(value, Source):
+                raise TypeError(f"{name} must be a Source, got {value!r}")
         for name, l, r in (("add", add_l, add_r), ("sub", sub_l, sub_r), ("mul", mul_l, mul_r)):
             if (l is _NONE) != (r is _NONE):
                 raise ValueError(f"{name} selects must both be set or both NONE")
-        pairs = (("a", inject_a), ("b", inject_b))
-        values = (inject_a, inject_b, add_l, add_r, sub_l, sub_r, mul_l, mul_r, emit)
-        self.__setstate__((*values, tuple(p for p in pairs if isinstance(p[1], str))))
-
-
-def _unit_selects(s: Step) -> tuple[tuple[str, Source, Source], ...]:
-    return (("add", s.add_l, s.add_r), ("sub", s.sub_l, s.sub_r), ("mul", s.mul_l, s.mul_r))
-
-
-_PAIRS = attrgetter("_placeholders")
+        self.__setstate__(values)
 
 
 class Microprogram(Record):
     """Named, ordered list of steps, executed once each in order.
 
-    The placeholder pairs of all steps, in step order, are joined here
-    once, so run checks its bindings without scanning the steps; they are
-    left out of equality, hash and repr.
+    The (label, name) placeholder pairs, a before b in step order, are
+    found here by one scan of the steps, so run checks its bindings
+    without scanning them; they are left out of equality, hash and repr.
     """
 
     FIELDS = ("name", "steps")
@@ -156,11 +145,10 @@ class Microprogram(Record):
         if name.split() != [name]:
             raise ValueError(f"program name must be a non-empty token, got {name!r}")
         steps = tuple(steps)
-        # most steps hold no placeholder: filter drops their empty tuples in C
-        pairs = chain.from_iterable(filter(None, map(_PAIRS, steps)))
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "_placeholders", tuple(pairs))
+        pairs = tuple((label, value) for s in steps
+                      for label, value in (("a", s.inject_a), ("b", s.inject_b))
+                      if isinstance(value, str))
+        self.__setstate__((name, steps, pairs))
 
 
 def step(
@@ -287,7 +275,7 @@ def builtin_function2(e: int) -> Microprogram:
 # unit is idle.  Lines starting with '#' are comments.
 
 _SOURCE_TOKENS = {s.value: s for s in Source if s is not Source.NONE}
-# field key -> the Step attributes it sets
+# field key -> the Step attributes it sets; render writes the keys in this order
 _STEP_FIELDS = {
     "a": ("inject_a",),
     "b": ("inject_b",),
@@ -381,6 +369,8 @@ def parse_program(text: str) -> Microprogram:
 
 
 def _render_value(value) -> str:
+    if isinstance(value, Source):
+        return value.value
     return f"${value}" if isinstance(value, str) else str(value)
 
 
@@ -389,15 +379,11 @@ def render_program(prog: Microprogram) -> str:
     lines = [f"PROG {prog.name}"]
     for s in prog.steps:
         parts = ["STEP"]
-        if s.inject_a is not None:
-            parts.append(f"a={_render_value(s.inject_a)}")
-        if s.inject_b is not None:
-            parts.append(f"b={_render_value(s.inject_b)}")
-        for key, l, r in _unit_selects(s):
-            if l is not Source.NONE:
-                parts.append(f"{key}={l.value},{r.value}")
-        if s.emit is not Source.NONE:
-            parts.append(f"emit={s.emit.value}")
+        for key, attrs in _STEP_FIELDS.items():
+            values = [getattr(s, attr) for attr in attrs]
+            # an unset injection is None, an idle unit or emit is NONE
+            if values[0] is not None and values[0] is not _NONE:
+                parts.append(f"{key}={','.join(map(_render_value, values))}")
         lines.append(" ".join(parts))
     lines.append("END")
     return "\n".join(lines) + "\n"

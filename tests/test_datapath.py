@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import dataclass, field
 
 import pytest
@@ -187,17 +188,56 @@ def test_shared_function1_equals_fresh_build():
 def test_placeholder_record_is_left_out_of_equality_hash_and_repr():
     s = Step(inject_a="X", inject_b=3, add_l=Source.IN1, add_r=Source.IN2)
     p = Microprogram("p", (s, Step(inject_b="Y")))
-    assert (s._placeholders, p._placeholders) == ((("a", "X"),), (("a", "X"), ("b", "Y")))
+    assert p._placeholders == (("a", "X"), ("b", "Y"))
+    # the program holds the only record; a step is its fields and nothing else
+    assert Step.__slots__ == Step.FIELDS
     # a twin whose record is blanked must still compare, hash and print the same
-    twin_s = Step(inject_a="X", inject_b=3, add_l=Source.IN1, add_r=Source.IN2)
-    twin_p = Microprogram("p", (twin_s, Step(inject_b="Y")))
-    object.__setattr__(twin_s, "_placeholders", ())
-    object.__setattr__(twin_p, "_placeholders", ())
-    for built, twin in ((s, twin_s), (p, twin_p)):
-        assert built == twin
-        assert hash(built) == hash(twin)
-        assert repr(built) == repr(twin)
-        assert "_placeholders" not in repr(built)
+    twin = Microprogram("p", (s, Step(inject_b="Y")))
+    object.__setattr__(twin, "_placeholders", ())
+    assert p == twin
+    assert hash(p) == hash(twin)
+    assert repr(p) == repr(twin)
+    assert "_placeholders" not in repr(p)
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"add_l": "IN1", "add_r": "IN2"}, "add_l must be a Source, got 'IN1'"),
+        ({"emit": "MUL"}, "emit must be a Source, got 'MUL'"),
+        ({"mul_l": None, "mul_r": None}, "mul_l must be a Source, got None"),
+        ({"emit": 3}, "emit must be a Source, got 3"),
+    ],
+)
+def test_select_that_is_not_a_source_rejected(kwargs, message):
+    with pytest.raises(TypeError) as exc:
+        Step(**kwargs)
+    assert str(exc.value) == message
+
+
+def test_rendered_text_is_pinned():
+    assert render_program(builtin_function1()) == (
+        "PROG function1\n"
+        "STEP a=$X b=$Y add=IN1,IN2\n"
+        "STEP b=$Z mul=ADD,IN2\n"
+        "STEP emit=MUL\n"
+        "END\n"
+    )
+    assert render_program(builtin_function2(3)) == (
+        "PROG function2\n"
+        "STEP a=$X b=$X\n"
+        "STEP mul=IN1,IN2\n"
+        "STEP mul=MUL,IN1\n"
+        "STEP emit=MUL\n"
+        "END\n"
+    )
+    every_field = Step(
+        inject_a=0, inject_b="Y", add_l=Source.IN1, add_r=Source.IN2,
+        sub_l=Source.ADD, sub_r=Source.SUB, mul_l=Source.MUL, mul_r=Source.IN1, emit=Source.SUB,
+    )
+    assert render_program(Microprogram("all", (every_field,))) == (
+        "PROG all\nSTEP a=0 b=$Y add=IN1,IN2 sub=ADD,SUB mul=MUL,IN1 emit=SUB\nEND\n"
+    )
 
 
 def test_function2_negative_exponent_rejected():
@@ -346,6 +386,26 @@ def test_parse_placeholder():
     prog = parse_program("PROG p\nSTEP a=$X b=3\nEND\n")
     assert prog.steps[0].inject_a == "X"
     assert prog.steps[0].inject_b == 3
+
+
+@given(name=st.one_of(
+    st.text(max_size=6),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True),
+))
+@example("é")
+@example("xª")
+@example("ｘ")
+@example("x٣")
+@example("a\n")
+@example("")
+@example("_")
+@settings(max_examples=300)
+def test_placeholder_name_accepted_exactly_when_it_is_an_ascii_identifier(name):
+    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
+        assert Step(inject_a=name).inject_a == name
+    else:
+        with pytest.raises(ValueError, match="^a placeholder .* is not an identifier$"):
+            Step(inject_a=name)
 
 
 def test_parse_unknown_source_names_token_and_line():
@@ -501,12 +561,13 @@ def test_step_line_in_any_field_order_parses_to_the_step(s, data):
 # signs itself and read the fields in three passes, kept verbatim as the
 # reference for which lines are accepted and what they build.
 _REFERENCE_STEP_KEYS = ("a", "b", "add", "sub", "mul", "emit")
+_REFERENCE_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 def _reference_parse_value(text):
     if text.startswith("$"):
         name = text[1:]
-        if not datapath._IDENT.match(name):
+        if not _REFERENCE_IDENT.match(name):
             raise ValueError(f"bad placeholder {text!r}")
         return name
     value = datapath.parse_decimal(text)
