@@ -5,13 +5,18 @@ class Record:
     """Equality, hash and repr over the class's FIELDS; no assignment after __init__.
 
     A subclass names its constructor fields, in order, in FIELDS and every
-    attribute in __slots__; its __init__ validates and sets the slots with
-    object.__setattr__.  A slot outside FIELDS is a cache: left out of
-    equality, hash and repr, but kept by pickle and copy.
+    attribute in __slots__; its __init__ validates and then sets every slot
+    with one __setstate__ call, values in __slots__ order.  A slot outside
+    FIELDS is a cache: left out of equality, hash and repr, but kept by
+    pickle and copy.
     """
 
     __slots__ = ()
     FIELDS: tuple[str, ...] = ()
+
+    # each slot's setter, in __slots__ order, bound once per class
+    def __init_subclass__(cls) -> None:
+        cls._SETTERS = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in self.FIELDS])
@@ -38,5 +43,5 @@ class Record:
         return tuple([getattr(self, name) for name in self.__slots__])
 
     def __setstate__(self, state: tuple) -> None:
-        for name, value in zip(self.__slots__, state):
-            object.__setattr__(self, name, value)
+        for setter, value in zip(self._SETTERS, state):
+            setter(self, value)

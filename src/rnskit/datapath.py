@@ -141,10 +141,15 @@ class Microprogram(Record):
     __slots__ = (*FIELDS, "_placeholders")
 
     def __init__(self, name: str, steps: tuple[Step, ...]) -> None:
+        if not isinstance(name, str):
+            raise TypeError(f"program name {name!r} is not a str")
         # a non-empty token is exactly the one piece that split() leaves
         if name.split() != [name]:
             raise ValueError(f"program name must be a non-empty token, got {name!r}")
         steps = tuple(steps)
+        for s in steps:
+            if not isinstance(s, Step):
+                raise TypeError(f"step {s!r} is not a Step")
         pairs = tuple((label, value) for s in steps
                       for label, value in (("a", s.inject_a), ("b", s.inject_b))
                       if isinstance(value, str))

@@ -67,8 +67,7 @@ class ModuliSet(Record):
         for m in ms:
             if isinstance(m, bool) or not isinstance(m, int):
                 raise TypeError(f"modulus {m!r} is not an int")
-        object.__setattr__(self, "moduli", ms)
-        object.__setattr__(self, "dynamic_range", prod(ms))
+        self.__setstate__((ms, prod(ms)))
 
     def __len__(self) -> int:
         return len(self.moduli)
@@ -87,8 +86,7 @@ class GenerationRequest(Record):
             raise CardinalityError(f"cardinality must be >= 3, got {cardinality}")
         if bits < 2:
             raise RangeTooSmallError(f"bits must be >= 2, got {bits}")
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "cardinality", cardinality)
+        self.__setstate__((bits, cardinality))
 
 
 class ExtraChoice(Record):
@@ -103,9 +101,7 @@ class ExtraChoice(Record):
     __slots__ = FIELDS = ("k", "k_root", "chosen")
 
     def __init__(self, k: int, k_root: int, chosen: int) -> None:
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "k_root", k_root)
-        object.__setattr__(self, "chosen", chosen)
+        self.__setstate__((k, k_root, chosen))
 
 
 class GenerationTrace(Record):
@@ -114,9 +110,7 @@ class GenerationTrace(Record):
     __slots__ = FIELDS = ("x", "center", "extras")
 
     def __init__(self, x: int, center: int, extras: tuple[ExtraChoice, ...]) -> None:
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "extras", extras)
+        self.__setstate__((x, center, extras))
 
 
 class SchemeId(Record):
@@ -139,8 +133,7 @@ class SchemeId(Record):
                 raise ValueError(f"{family} does not take a cardinality")
         else:
             raise ValueError(f"unknown scheme family {family!r}")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "cardinality", cardinality)
+        self.__setstate__((family, cardinality))
 
     @classmethod
     def parse(cls, label: str) -> "SchemeId":
@@ -171,9 +164,7 @@ class ValidationReport(Record):
         self, small_moduli: tuple[int, ...], conflicting_pairs: tuple[tuple[int, int], ...],
         shortfall: int,
     ) -> None:
-        object.__setattr__(self, "small_moduli", small_moduli)
-        object.__setattr__(self, "conflicting_pairs", conflicting_pairs)
-        object.__setattr__(self, "shortfall", shortfall)
+        self.__setstate__((small_moduli, conflicting_pairs, shortfall))
 
     @property
     def moduli_ok(self) -> bool:

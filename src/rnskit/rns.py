@@ -83,19 +83,18 @@ class RnsContext(Record):
     __slots__ = (*FIELDS, "_tree")
 
     def __init__(self, moduli_set: ModuliSet) -> None:
-        object.__setattr__(self, "moduli_set", moduli_set)
-        self.__post_init__()
+        self.__post_init__(moduli_set)
 
     # the build, called through self: the traced benchmark times it as
     # rns.context_build by wrapping this class attribute
-    def __post_init__(self) -> None:
-        ms = self.moduli_set.moduli
+    def __post_init__(self, moduli_set: ModuliSet) -> None:
+        ms = moduli_set.moduli
         if not ms:
             raise RnsError("moduli set is empty")
         for m in ms:
             if m < 2:
                 raise RnsError(f"modulus {m} < 2")
-        total = self.moduli_set.dynamic_range
+        total = moduli_set.dynamic_range
         coeffs = []
         for m in ms:
             partial = total // m
@@ -104,8 +103,7 @@ class RnsContext(Record):
             except NotCoprimeError:
                 a, b = structural_faults(ms)[1][0]
                 raise RnsError(f"moduli {a} and {b} are not coprime (gcd = {gcd(a, b)})") from None
-        object.__setattr__(self, "crt_coeffs", tuple(coeffs))
-        object.__setattr__(self, "_tree", _remainder_tree(ms, total))
+        self.__setstate__((moduli_set, tuple(coeffs), _remainder_tree(ms, total)))
 
 
 class RnsNumber(Record):
@@ -123,16 +121,13 @@ class RnsNumber(Record):
                 raise TypeError(f"residue {r!r} is not an int")
             if not 0 <= r < m:
                 raise RnsError(f"residue {r} out of range for modulus {m}")
-        object.__setattr__(self, "residues", residues)
-        object.__setattr__(self, "moduli_set", moduli_set)
+        self.__setstate__((residues, moduli_set))
 
 
-# slot setters bound once: a computed result, already reduced mod each
-# modulus, is built in place without __init__'s range check or the
-# immutable __setattr__
+# a computed result, already reduced mod each modulus, is built in place
+# with the class's slot setters: no __init__ range check, no extra frame
 _new = object.__new__
-_set_residues = RnsNumber.residues.__set__
-_set_moduli_set = RnsNumber.moduli_set.__set__
+_set_residues, _set_moduli_set = RnsNumber._SETTERS
 
 
 def _check_operand(ctx: RnsContext, value: RnsNumber) -> None:

@@ -54,11 +54,7 @@ class ComparisonRow(Record):
         self, bits: int, scheme: SchemeId, moduli: tuple[int, ...], bit_cost: int,
         deviation_note: str | None = None,
     ) -> None:
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "scheme", scheme)
-        object.__setattr__(self, "moduli", moduli)
-        object.__setattr__(self, "bit_cost", bit_cost)
-        object.__setattr__(self, "deviation_note", deviation_note)
+        self.__setstate__((bits, scheme, moduli, bit_cost, deviation_note))
 
 
 def comparison_row(bits: int, scheme: SchemeId) -> ComparisonRow:

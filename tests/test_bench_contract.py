@@ -76,6 +76,31 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps({"codes": codes, "calls": tracer.calls}))
 """
 
+# Runs in a child process: each set once, traced, then one set that is not
+# coprime, whose build must raise and still count as a context build.
+TRACED_CONTEXTS = """
+import json
+import sys
+
+import rnskit
+import rnskit.cli
+from tracing import Tracer
+
+tracer = Tracer(keep_spans=False)
+tracer.install(rnskit)
+for moduli in json.loads(sys.argv[1]):
+    rnskit.RnsContext(rnskit.ModuliSet(moduli))
+try:
+    rnskit.RnsContext(rnskit.ModuliSet((8, 9, 6)))
+except rnskit.RnsError:
+    pass
+else:
+    raise SystemExit("the set (8, 9, 6) built a context")
+print(json.dumps(tracer.calls))
+"""
+
+CONTEXT_SETS = [[8, 9, 7], [42, 43, 41, 47, 37, 53], [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]]
+
 COMPARE_ARGVS = [
     ["compare", "--bits", "16,40,333", "--schemes", "proposed3,sm2,proposed6"],
     ["compare", "--bits", "64", "--schemes", "proposed5,sm1,proposed4", "--format", "markdown"],
@@ -141,3 +166,13 @@ def test_traced_compare_counts_with_the_parser_built_before_install():
     assert calls["moduli.find_moduli"] == generated
     assert calls["numbers.ceil_nth_root"] == roots
     assert "numbers.coprime_to_all" not in calls
+
+
+def test_traced_context_builds_count_every_build_and_failure():
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_CONTEXTS, json.dumps(CONTEXT_SETS)],
+        capture_output=True, text=True, env=child_env(), cwd=ROOT, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout)
+    assert calls["rns.context_build"] == len(CONTEXT_SETS) + 1

@@ -1,5 +1,9 @@
 import contextlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +12,8 @@ from hypothesis import strategies as st
 from rnskit.cli import _build_parser, main
 from rnskit.moduli import SchemeId
 from rnskit.tables import comparison_rows, rows_from_csv, rows_to_csv, rows_to_markdown
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def invoke(capsys, *argv):
@@ -612,3 +618,32 @@ def test_main_never_raises(program_files, argv):
         code = main(argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+# --- python -m rnskit ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["gen", "--bits", "32", "--count", "6"], 0),
+        (["run", "--builtin", "function1", "--moduli", "8,9,7", "--bind", "X=7,Y=5"], 1),
+        (["convert", "--moduli", "8,9,6", "--value", "3"], 2),
+        (["run", "--program", "<reads ADD first>", "--moduli", "8,9,7"], 3),
+    ],
+    ids=["ok", "usage", "validation", "run-fault"],
+)
+def test_module_entry_point_exits_as_main_returns(capsys, tmp_path, argv, expected):
+    path = tmp_path / "fault.txt"
+    path.write_text("PROG p\nSTEP a=1 add=ADD,IN1 emit=ADD\nEND\n")
+    argv = [str(path) if token == "<reads ADD first>" else token for token in argv]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rnskit", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    code, out, err = invoke(capsys, *argv)
+    assert proc.returncode == code == expected
+    assert (proc.stdout, proc.stderr) == (out, err)
+    assert "Traceback" not in proc.stderr

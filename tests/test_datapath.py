@@ -215,6 +215,21 @@ def test_select_that_is_not_a_source_rejected(kwargs, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "name,steps,message",
+    [
+        ("p", ("x",), "step 'x' is not a Step"),
+        ("p", (Step(), None), "step None is not a Step"),
+        (3, (), "program name 3 is not a str"),
+    ],
+    ids=["str-step", "none-step", "int-name"],
+)
+def test_program_of_wrong_types_rejected(name, steps, message):
+    with pytest.raises(TypeError) as exc:
+        Microprogram(name, steps)
+    assert str(exc.value) == message
+
+
 def test_rendered_text_is_pinned():
     assert render_program(builtin_function1()) == (
         "PROG function1\n"

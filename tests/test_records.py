@@ -2,10 +2,10 @@
 
 Each of the eleven types is checked on one instance: pickle and both
 copies give back an equal object with its private caches intact, no
-field can be assigned or deleted, the constructor takes the same
-parameters as always, and the repr reads as it always has. A last test
-checks that importing the package and its CLI loads none of the heavy
-introspection modules.
+field can be assigned or deleted, the bound slot setters set the slots
+in __slots__ order, the constructor takes the same parameters as always,
+and the repr reads as it always has. A last test checks that importing
+the package and its CLI loads none of the heavy introspection modules.
 """
 
 import copy
@@ -180,6 +180,19 @@ def test_an_attribute_outside_the_slots_cannot_be_set(cls):
     obj = INSTANCES[cls][0]
     with pytest.raises(AttributeError):
         obj.not_a_field = 1
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=lambda cls: cls.__name__)
+def test_setters_set_the_slots_in_slot_order(cls):
+    _, public, private = INSTANCES[cls]
+    assert cls.__slots__ == public + private
+    assert len(cls._SETTERS) == len(cls.__slots__)
+    for setter, name in zip(cls._SETTERS, cls.__slots__):
+        obj = object.__new__(cls)
+        value = object()
+        setter(obj, value)
+        assert getattr(obj, name) is value
+        assert [n for n in cls.__slots__ if hasattr(obj, n)] == [name]
 
 
 @pytest.mark.parametrize("cls", TYPES, ids=lambda cls: cls.__name__)
