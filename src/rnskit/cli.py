@@ -33,19 +33,18 @@ from .numbers import parse_decimal
 from .rns import RnsContext, RnsError, to_rns, from_rns, RnsNumber
 from .tables import comparison_rows, rows_to_csv, rows_to_markdown
 
-__all__ = ["main", "console_main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_RUN_FAULT = 3
 
-# Input limits: gen/compare --bits, gen --count, run's function2 exponent E,
-# and the length and dynamic-range width of a --moduli list.  Every set gen
-# prints within them is accepted back, and every integer below a range of
-# MAX_RANGE_BITS prints within int()'s default 4300-digit limit.
+# Input limits: gen/compare --bits, run's function2 exponent E, and the length
+# (also gen --count, so every set gen prints is accepted back) and dynamic-range
+# width of a --moduli list; every integer below a range of MAX_RANGE_BITS prints
+# within int()'s default 4300-digit limit.
 MAX_BITS = 8192
-MAX_COUNT = 64
 MAX_EXPONENT = 4096
 MAX_MODULI = 64
 MAX_RANGE_BITS = 12288
@@ -102,7 +101,7 @@ def _bindings(parts: list[str]) -> dict[str, int]:
 
 def cmd_gen(args) -> int:
     bits = _at_most(_decimal(args.bits, "bits"), MAX_BITS, "bits")
-    count = _at_most(_decimal(args.count, "count"), MAX_COUNT, "count")
+    count = _at_most(_decimal(args.count, "count"), MAX_MODULI, "count")
     moduli_set, trace = find_moduli(GenerationRequest(bits, count))
     print("moduli:", ",".join(str(m) for m in moduli_set.moduli))
     print("bit_cost:", bit_cost(moduli_set))
@@ -265,7 +264,3 @@ def main(argv=None) -> int:
     except RunFault as exc:
         print(f"rnskit: run fault: {exc}", file=sys.stderr)
         return EXIT_RUN_FAULT
-
-
-def console_main() -> None:
-    sys.exit(main())

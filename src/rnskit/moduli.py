@@ -56,8 +56,8 @@ class RangeTooSmallError(ValueError):
 class ModuliSet(Record):
     """Ordered moduli with their cached dynamic range (exact product).
 
-    Moduli must be ints (not bools), but may be invalid so that candidate
-    sets can be inspected; `validate` reports >= 2 / coprimality / range violations.
+    Read the moduli and their count from `.moduli`; they must be ints (not
+    bools) but may fail `validate`'s >= 2 / coprimality / range checks.
     """
 
     __slots__ = FIELDS = ("moduli", "dynamic_range")
@@ -68,12 +68,6 @@ class ModuliSet(Record):
             if isinstance(m, bool) or not isinstance(m, int):
                 raise TypeError(f"modulus {m!r} is not an int")
         self.__setstate__((ms, prod(ms)))
-
-    def __len__(self) -> int:
-        return len(self.moduli)
-
-    def __iter__(self):
-        return iter(self.moduli)
 
 
 class GenerationRequest(Record):
@@ -167,20 +161,8 @@ class ValidationReport(Record):
         self.__setstate__((small_moduli, conflicting_pairs, shortfall))
 
     @property
-    def moduli_ok(self) -> bool:
-        return not self.small_moduli
-
-    @property
-    def coprime_ok(self) -> bool:
-        return not self.conflicting_pairs
-
-    @property
-    def range_ok(self) -> bool:
-        return self.shortfall == 0
-
-    @property
     def ok(self) -> bool:
-        return self.moduli_ok and self.coprime_ok and self.range_ok
+        return not self.small_moduli and not self.conflicting_pairs and self.shortfall == 0
 
 
 def find_moduli(req: GenerationRequest) -> tuple[ModuliSet, GenerationTrace]:

@@ -95,14 +95,15 @@ def rows_to_csv(rows) -> str:
 
 
 def rows_from_csv(text: str) -> list[ComparisonRow]:
-    """Inverse of rows_to_csv; recovers every field exactly.
+    """Inverse of rows_to_csv for rows that pass its checks, field for field.
 
     Empty text and a wrong header raise ValueError, as does, named by its
-    line, a record rows_to_csv cannot write: one without six fields, a
-    number that parse_decimal rejects, an unknown scheme, bits or a
-    modulus below 2, a cardinality that does not count the moduli or is
-    not the scheme's (t for proposed<t>, 3 for a baseline), and a bit_cost
-    that is not the sum of the moduli's bit lengths.
+    line, a record with the wrong number of fields, a number that
+    parse_decimal rejects, an unknown scheme, bits or a modulus below 2, a
+    cardinality that does not count the moduli or is not the scheme's (t
+    for proposed<t>, 3 for a baseline), or a bit_cost that is not the sum
+    of the moduli's bit lengths.  rows_to_csv checks nothing, so it can
+    write a record this rejects.
     """
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)

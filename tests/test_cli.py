@@ -1,6 +1,8 @@
 import contextlib
+import importlib
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -319,6 +321,38 @@ def test_non_decimal_numbers_exit_1(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("rnskit: error:")
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (
+            ("compare", "--bits", "1", "--schemes", "sm1"),
+            (2, "", "rnskit: validation error: bits must be >= 2, got 1\n"),
+        ),
+        (
+            ("compare", "--bits", "16", "--schemes", "sm1,,sm2"),
+            (
+                0,
+                "bits,scheme,cardinality,moduli,bit_cost,note\n"
+                "16,sm1,3,64;65;63,20,\n16,sm2,3,64;63;31,18,\n",
+                "",
+            ),
+        ),
+        (
+            ("compare", "--bits", "16", "--schemes", ","),
+            (1, "", "rnskit: error: empty schemes list\n"),
+        ),
+        (
+            ("run", "--builtin", "function1", "--moduli", "8,9,7",
+             "--bind", "X=1,,Y=2", "--bind", ",", "--bind", "Z=3"),
+            (0, "9\n", ""),
+        ),
+    ],
+    ids=["baseline-bits-below-2", "empty-scheme-skipped", "no-scheme", "empty-bindings-skipped"],
+)
+def test_empty_list_items_and_baseline_bits_check(capsys, argv, expected):
+    assert invoke(capsys, *argv) == expected
 
 
 def test_convert_requires_direction(capsys):
@@ -647,3 +681,14 @@ def test_module_entry_point_exits_as_main_returns(capsys, tmp_path, argv, expect
     assert proc.returncode == code == expected
     assert (proc.stdout, proc.stderr) == (out, err)
     assert "Traceback" not in proc.stderr
+
+
+def test_console_script_is_main(capsys):
+    pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    # a regex, not tomllib: the 3.10 floor has no tomllib
+    entry = re.search(r'^rnskit = "([\w.]+):(\w+)"$', pyproject, re.MULTILINE)
+    assert entry is not None
+    target = getattr(importlib.import_module(entry.group(1)), entry.group(2))
+    assert target is main
+    assert target(["convert", "--moduli", "8,9,6", "--value", "3"]) == 2
+    assert "not coprime" in capsys.readouterr().err

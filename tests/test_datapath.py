@@ -1,6 +1,7 @@
 import random
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -828,3 +829,75 @@ def test_fault_in_each_unit_position_latches_nothing(unit, side):
             bindings={"X": 4},
         )
     assert (exc.value.step_index, exc.value.source) == (2, Source.SUB)
+
+
+# --- the paper's DSP kernel: an N-tap FIR sum as a program ------------------------
+
+FIR_SETS = {
+    "narrow": RnsContext(ModuliSet((42, 43, 41, 47, 37, 53))),
+    "multi-leaf": RnsContext(rnskit.find_moduli(rnskit.GenerationRequest(2048, 24))[0]),
+}
+
+
+def _fir_text(taps, zero="SUB"):
+    """N-tap multiply-accumulate: step k multiplies x_k by h_k while the
+    adder folds in step k - 1's product, so N taps take N + 1 steps.
+
+    Step 0 puts a zero in SUB for the first add; `zero="ADD"` drops it and
+    has the first add read ADD, which no step has written yet.
+    """
+    lines = [f"PROG fir{taps}"]
+    for k in range(taps):
+        unit = "sub=IN1,IN1" if k == 0 else f"add={zero if k == 1 else 'ADD'},MUL"
+        lines.append(f"STEP a=$X{k} b=$H{k} mul=IN1,IN2 {unit}")
+    lines.append(f"STEP add={zero if taps == 1 else 'ADD'},MUL emit=ADD")
+    return "\n".join([*lines, "END"]) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(FIR_SETS))
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_fir_program_sums_the_tap_products(name, data):
+    ctx = FIR_SETS[name]
+    total = ctx.moduli_set.dynamic_range
+    taps = data.draw(st.integers(1, 8), label="taps")
+    values = st.integers(0, total - 1)
+    xs = data.draw(st.lists(values, min_size=taps, max_size=taps), label="xs")
+    hs = data.draw(st.lists(values, min_size=taps, max_size=taps), label="hs")
+    bindings = {f"X{k}": x for k, x in enumerate(xs)} | {f"H{k}": h for k, h in enumerate(hs)}
+    outputs, _ = run(ctx, parse_program(_fir_text(taps)), bindings)
+    assert outputs == [sum(x * h for x, h in zip(xs, hs)) % total]
+
+
+@pytest.mark.parametrize("taps", range(1, 9))
+def test_fir_program_shape(taps):
+    steps = parse_program(_fir_text(taps)).steps
+
+    def count(unit):
+        return sum(getattr(s, f"{unit}_l") is not Source.NONE for s in steps)
+
+    assert len(steps) == taps + 1
+    assert (count("mul"), count("add"), count("sub")) == (taps, taps, 1)
+    injections = [v for s in steps for v in (s.inject_a, s.inject_b) if v is not None]
+    assert len(injections) == 2 * taps
+    assert [s.emit for s in steps] == [Source.NONE] * taps + [Source.ADD]
+
+
+@pytest.mark.parametrize("taps", [1, 4])
+def test_fir_program_without_the_sub_zero_faults_on_add(taps):
+    with pytest.raises(RunFault) as exc:
+        run(FIR_SETS["narrow"], parse_program(_fir_text(taps, zero="ADD")),
+            {f"{p}{k}": 1 for p in "XH" for k in range(taps)})
+    assert (exc.value.step_index, exc.value.source) == (1, Source.ADD)
+
+
+def test_readme_fir4_example_runs(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert _fir_text(4) in readme
+    path = tmp_path / "fir4.txt"
+    path.write_text(_fir_text(4))
+    code = cli.main([
+        "run", "--program", str(path), "--moduli", "42,43,41,47,37,53",
+        "--bind", "X0=1000,X1=2000,X2=3000,X3=4000", "--bind", "H0=3,H1=5,H2=7,H3=11",
+    ])
+    assert (code, capsys.readouterr().out) == (0, "78000\n")

@@ -63,7 +63,7 @@ def test_trace_fields():
         (1235, 36, 37),
         (34, 34, 53),
     ]
-    assert len(trace.extras) == len(moduli_set) - 3
+    assert len(trace.extras) == len(moduli_set.moduli) - 3
 
 
 def test_trace_quadruple_intermediate():
@@ -133,6 +133,18 @@ def test_scheme_parse_leaves_the_cardinality_bound_to_scheme_id(label):
 def test_scheme_parse_rejects_a_non_decimal_cardinality(label):
     with pytest.raises(ValueError, match="^unknown scheme "):
         SchemeId.parse(label)
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (("sm1", 3), "^sm1 does not take a cardinality$"),
+        (("sm4",), "^unknown scheme family 'sm4'$"),
+    ],
+)
+def test_scheme_id_rejects_a_baseline_cardinality_or_an_unknown_family(args, message):
+    with pytest.raises(ValueError, match=message):
+        SchemeId(*args)
 
 
 # the family forms written out independently of the library's table
@@ -206,8 +218,8 @@ def test_generated_set_is_not_bit_minimal():
 
 def test_validate_range_shortfall():
     report = validate(ModuliSet((256, 257, 255)), 24)
-    assert report.moduli_ok and report.coprime_ok
-    assert not report.range_ok
+    assert report.small_moduli == () and report.conflicting_pairs == ()
+    assert report.shortfall > 0
     assert report.shortfall == 255
     assert not report.ok
 
@@ -220,7 +232,7 @@ def test_validate_all_pass():
 
 def test_validate_coprimality_failure():
     report = validate(ModuliSet((6, 9, 5)), 4)
-    assert not report.coprime_ok
+    assert report.conflicting_pairs
     assert report.conflicting_pairs == ((6, 9),)
 
 
@@ -243,7 +255,7 @@ def test_generator_sweep_invariants(cardinality):
             continue
         report = validate(moduli_set, bits)
         assert report.ok, (bits, cardinality, report)
-        assert len(moduli_set) == cardinality
+        assert len(moduli_set.moduli) == cardinality
         c = trace.center
         assert c % 2 == 0
         assert c >= trace.x

@@ -219,6 +219,11 @@ def test_context_rejects_small_modulus():
         RnsContext(ModuliSet((1, 3, 5)))
 
 
+def test_context_rejects_an_empty_set():
+    with pytest.raises(RnsError, match=r"^moduli set is empty$"):
+        RnsContext(ModuliSet(()))
+
+
 def test_crt_weights_law():
     moduli = CTX.moduli_set.moduli
     assert len(CTX.crt_coeffs) == len(moduli)
