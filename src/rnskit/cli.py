@@ -108,9 +108,9 @@ def cmd_gen(args) -> int:
     print("dynamic_range:", moduli_set.dynamic_range)
     if args.trace:
         print("x:", trace.x)
-        print("center:", trace.center)
-        for i, extra in enumerate(trace.extras, start=1):
-            print(f"k[{i}]: {extra.k} root={extra.k_root} chosen={extra.chosen}")
+        print("center:", moduli_set.moduli[0])
+        for i, ((k, k_root), chosen) in enumerate(zip(trace.extras, moduli_set.moduli[3:]), 1):
+            print(f"k[{i}]: {k} root={k_root} chosen={chosen}")
     return EXIT_OK
 
 

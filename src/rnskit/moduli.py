@@ -22,7 +22,6 @@ __all__ = [
     "ModuliSet",
     "GenerationRequest",
     "GenerationTrace",
-    "ExtraChoice",
     "SchemeId",
     "ValidationReport",
     "CardinalityError",
@@ -83,28 +82,22 @@ class GenerationRequest(Record):
         self.__setstate__((bits, cardinality))
 
 
-class ExtraChoice(Record):
-    """One greedy fill step beyond the triple.
+class GenerationTrace(Record):
+    """Intermediate generator quantities, kept for inspection and audits.
 
-    k is the exact ceiling of remaining-range over product-so-far, k_root
-    its descending-index integer root (k itself for the final slot), and
-    chosen the smallest candidate >= max(k_root, 2) coprime to everything
-    picked before it.
+    x is the cardinality-th root of the target, rounded up; the even
+    center that the set is built on is moduli[0].  extras holds one
+    (k, k_root) pair per slot beyond the triple: k is the exact ceiling of
+    remaining-range over product-so-far, k_root its descending-index
+    integer root (k itself for the final slot).  Extra slot j (1-based)
+    picked moduli[2 + j], the smallest candidate >= max(k_root, 2)
+    coprime to everything picked before it.
     """
 
-    __slots__ = FIELDS = ("k", "k_root", "chosen")
+    __slots__ = FIELDS = ("x", "extras")
 
-    def __init__(self, k: int, k_root: int, chosen: int) -> None:
-        self.__setstate__((k, k_root, chosen))
-
-
-class GenerationTrace(Record):
-    """Intermediate generator quantities, kept for inspection and audits."""
-
-    __slots__ = FIELDS = ("x", "center", "extras")
-
-    def __init__(self, x: int, center: int, extras: tuple[ExtraChoice, ...]) -> None:
-        self.__setstate__((x, center, extras))
+    def __init__(self, x: int, extras: tuple[tuple[int, int], ...]) -> None:
+        self.__setstate__((x, extras))
 
 
 class SchemeId(Record):
@@ -186,8 +179,8 @@ def find_moduli(req: GenerationRequest) -> tuple[ModuliSet, GenerationTrace]:
     gcd against the product of all picks, at most once per call: the
     picks and the candidates already visited are skipped without it.
 
-    Moduli are returned in generation order.  The accompanying trace
-    records x, the final center, and every (k, k_root, chosen) step.
+    Moduli are returned in generation order, center first.  The
+    accompanying trace records x and every extra slot's (k, k_root).
     """
     target = (1 << req.bits) - 1
     x = ceil_nth_root(target, req.cardinality)
@@ -230,13 +223,13 @@ def find_moduli(req: GenerationRequest) -> tuple[ModuliSet, GenerationTrace]:
             seen.add(candidate)
             candidate += 2
         seen.add(candidate)
-        extras.append(ExtraChoice(k=k, k_root=k_root, chosen=candidate))
+        extras.append((k, k_root))
         picked.append(candidate)
         product *= candidate
         small *= gcd(candidate, SMALL_ODD_PRIMES)
         k = (k + candidate - 1) // candidate
         bound = candidate
-    return ModuliSet(tuple(picked)), GenerationTrace(x, center, tuple(extras))
+    return ModuliSet(tuple(picked)), GenerationTrace(x, tuple(extras))
 
 
 def baseline(scheme: SchemeId, bits: int) -> ModuliSet:

@@ -324,11 +324,12 @@ def test_criterion_6_simulator_matches_integer_oracle():
 def test_criterion_7_minimality_audit_and_trace_intermediates():
     for bits, cardinality in EXTENDED_SWEEP:
         moduli_set, trace = generate(bits, cardinality)
-        for i, extra in enumerate(trace.extras):
+        for i, (_, k_root) in enumerate(trace.extras):
             earlier = moduli_set.moduli[: 3 + i]
-            floor = max(extra.k_root, 2)
-            assert extra.chosen >= floor
-            for candidate in range(floor, extra.chosen):
+            chosen = moduli_set.moduli[3 + i]
+            floor = max(k_root, 2)
+            assert chosen >= floor
+            for candidate in range(floor, chosen):
                 assert not coprime_to_all(candidate, earlier), (
                     bits, cardinality, candidate,
                 )
@@ -336,11 +337,11 @@ def test_criterion_7_minimality_audit_and_trace_intermediates():
         assert report_obj.ok
 
     _, trace5 = generate(32, 5)
-    assert (trace5.extras[0].k, trace5.extras[0].k_root) == (6754, 83)
+    assert trace5.extras[0] == (6754, 83)
     _, trace6 = generate(32, 6)
-    assert [(e.k, e.k_root) for e in trace6.extras] == [(58005, 39), (1235, 36), (34, 34)]
+    assert list(trace6.extras) == [(58005, 39), (1235, 36), (34, 34)]
     _, trace4 = generate(32, 4)
-    assert trace4.extras[0].k == 257
+    assert trace4.extras[0][0] == 257
 
     report(7, "no smaller admissible extra exists in any of the 24 sets; "
               "trace intermediates match the printed values")

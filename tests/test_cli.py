@@ -49,6 +49,63 @@ def test_gen_trace(capsys):
     assert "k[1]: 58005 root=39 chosen=47" in out
 
 
+GEN_TRACE_OUTPUTS = {
+    (32, 6): [
+        "moduli: 42,43,41,47,37,53",
+        "bit_cost: 36",
+        "dynamic_range: 6824597682",
+        "x: 41",
+        "center: 42",
+        "k[1]: 58005 root=39 chosen=47",
+        "k[2]: 1235 root=36 chosen=37",
+        "k[3]: 34 root=34 chosen=53",
+    ],
+    (16, 3): [
+        "moduli: 42,43,41",
+        "bit_cost: 18",
+        "dynamic_range: 74046",
+        "x: 41",
+        "center: 42",
+    ],
+    (64, 24): [
+        "moduli: 8,9,7,11,13,17,19,23,5,29,31,37,41,43,47,53,59,61,67,71,73,79,83,89",
+        "bit_cost: 131",
+        "dynamic_range: 285224902756146609247806451216299720",
+        "x: 7",
+        "center: 8",
+        "k[1]: 36600682685931651 root=7 chosen=11",
+        "k[2]: 3327334789630151 root=6 chosen=13",
+        "k[3]: 255948829971551 root=6 chosen=17",
+        "k[4]: 15055813527739 root=6 chosen=19",
+        "k[5]: 792411238303 root=6 chosen=23",
+        "k[6]: 34452662535 root=5 chosen=5",
+        "k[7]: 6890532507 root=5 chosen=29",
+        "k[8]: 237604570 root=4 chosen=31",
+        "k[9]: 7664664 root=4 chosen=37",
+        "k[10]: 207154 root=3 chosen=41",
+        "k[11]: 5053 root=3 chosen=43",
+        "k[12]: 118 root=2 chosen=47",
+        "k[13]: 3 root=2 chosen=53",
+        "k[14]: 1 root=1 chosen=59",
+        "k[15]: 1 root=1 chosen=61",
+        "k[16]: 1 root=1 chosen=67",
+        "k[17]: 1 root=1 chosen=71",
+        "k[18]: 1 root=1 chosen=73",
+        "k[19]: 1 root=1 chosen=79",
+        "k[20]: 1 root=1 chosen=83",
+        "k[21]: 1 root=1 chosen=89",
+    ],
+}
+
+
+@pytest.mark.parametrize("bits,count", sorted(GEN_TRACE_OUTPUTS))
+def test_gen_trace_full_output(capsys, bits, count):
+    code, out, err = invoke(capsys, "gen", "--bits", str(bits), "--count", str(count), "--trace")
+    assert code == 0
+    assert err == ""
+    assert out == "".join(line + "\n" for line in GEN_TRACE_OUTPUTS[bits, count])
+
+
 def test_gen_validation_failure_exits_2(capsys):
     code, _, err = invoke(capsys, "gen", "--bits", "4", "--count", "7")
     assert code == 2

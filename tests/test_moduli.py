@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from rnskit.moduli import (
     SMALL_ODD_PRIMES,
     CardinalityError,
-    ExtraChoice,
     GenerationRequest,
     GenerationTrace,
     ModuliSet,
@@ -57,18 +56,16 @@ def test_generated_set_range_and_product():
 def test_trace_fields():
     moduli_set, trace = gen(32, 6)
     assert trace.x == 41
-    assert trace.center == 42
-    assert [(e.k, e.k_root, e.chosen) for e in trace.extras] == [
-        (58005, 39, 47),
-        (1235, 36, 37),
-        (34, 34, 53),
-    ]
+    assert moduli_set.moduli[0] == 42
+    assert trace.extras == ((58005, 39), (1235, 36), (34, 34))
+    assert moduli_set.moduli[3:] == (47, 37, 53)
     assert len(trace.extras) == len(moduli_set.moduli) - 3
 
 
 def test_trace_quadruple_intermediate():
-    _, trace = gen(32, 4)
-    assert [(e.k, e.k_root, e.chosen) for e in trace.extras] == [(257, 257, 259)]
+    moduli_set, trace = gen(32, 4)
+    assert trace.extras == ((257, 257),)
+    assert moduli_set.moduli[3:] == (259,)
 
 
 def test_cardinality_below_three_rejected():
@@ -256,13 +253,13 @@ def test_generator_sweep_invariants(cardinality):
         report = validate(moduli_set, bits)
         assert report.ok, (bits, cardinality, report)
         assert len(moduli_set.moduli) == cardinality
-        c = trace.center
+        c = moduli_set.moduli[0]
         assert c % 2 == 0
         assert c >= trace.x
         assert moduli_set.moduli[:3] == (c, c + 1, c - 1)
         assert len(trace.extras) == cardinality - 3
-        for extra in trace.extras:
-            assert extra.chosen >= max(extra.k_root, 2)
+        for (_, k_root), chosen in zip(trace.extras, moduli_set.moduli[3:]):
+            assert chosen >= max(k_root, 2)
 
 
 @pytest.mark.parametrize(
@@ -279,9 +276,9 @@ def test_each_extra_is_minimal(cells):
         except RangeTooSmallError:
             assert bits <= 6
             continue
-        for i, extra in enumerate(trace.extras):
+        for i, (_, k_root) in enumerate(trace.extras):
             earlier = moduli_set.moduli[: 3 + i]
-            for c in range(max(extra.k_root, 2), extra.chosen):
+            for c in range(max(k_root, 2), moduli_set.moduli[3 + i]):
                 assert not coprime_to_all(c, earlier)
 
 
@@ -375,10 +372,10 @@ def reference_generator(bits, cardinality):
         candidate = max(k_root, 2)
         while not coprime_pick_by_pick(candidate, picked):
             candidate += 1
-        extras.append(ExtraChoice(k, k_root, candidate))
+        extras.append((k, k_root))
         picked.append(candidate)
         product *= candidate
-    return ModuliSet(tuple(picked)), GenerationTrace(x, center, tuple(extras))
+    return ModuliSet(tuple(picked)), GenerationTrace(x, tuple(extras))
 
 
 def test_generator_matches_reference_bit_for_bit():
@@ -418,8 +415,8 @@ def test_triple_cost_never_worse_than_power_of_two_family():
 @given(bits=st.integers(min_value=4, max_value=64))
 @settings(max_examples=64)
 def test_consecutive_triple_pairwise_coprime(bits):
-    moduli_set, trace = gen(bits, 3)
-    c = trace.center
+    moduli_set, _ = gen(bits, 3)
+    c = moduli_set.moduli[0]
     assert gcd(c - 1, c) == 1
     assert gcd(c, c + 1) == 1
     assert gcd(c - 1, c + 1) == 1  # both odd neighbours of an even center

@@ -34,7 +34,7 @@ from rnskit import (
     to_rns,
     validate,
 )
-from rnskit.moduli import ExtraChoice, GenerationTrace, ValidationReport
+from rnskit.moduli import GenerationTrace, ValidationReport
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 EMPTY = inspect.Parameter.empty
@@ -50,8 +50,7 @@ ROW = ComparisonRow(16, SchemeId("proposed", 3), (42, 43, 41), 18, "a note")
 INSTANCES = {
     ModuliSet: (MS, ("moduli", "dynamic_range"), ()),
     GenerationRequest: (GenerationRequest(32, 6), ("bits", "cardinality"), ()),
-    ExtraChoice: (TRACE32.extras[0], ("k", "k_root", "chosen"), ()),
-    GenerationTrace: (TRACE32, ("x", "center", "extras"), ()),
+    GenerationTrace: (TRACE32, ("x", "extras"), ()),
     SchemeId: (SchemeId("proposed", 4), ("family", "cardinality"), ()),
     ValidationReport: (
         validate(ModuliSet((4, 6, 1)), 20),
@@ -73,8 +72,7 @@ INSTANCES = {
 SIGNATURES = {
     ModuliSet: [("moduli", EMPTY)],
     GenerationRequest: [("bits", EMPTY), ("cardinality", EMPTY)],
-    ExtraChoice: [("k", EMPTY), ("k_root", EMPTY), ("chosen", EMPTY)],
-    GenerationTrace: [("x", EMPTY), ("center", EMPTY), ("extras", EMPTY)],
+    GenerationTrace: [("x", EMPTY), ("extras", EMPTY)],
     SchemeId: [("family", EMPTY), ("cardinality", None)],
     ValidationReport: [("small_moduli", EMPTY), ("conflicting_pairs", EMPTY), ("shortfall", EMPTY)],
     RnsContext: [("moduli_set", EMPTY)],
@@ -96,11 +94,7 @@ _MS_REPR = "ModuliSet(moduli=(8, 9, 7), dynamic_range=504)"
 REPRS = {
     ModuliSet: _MS_REPR,
     GenerationRequest: "GenerationRequest(bits=32, cardinality=6)",
-    ExtraChoice: "ExtraChoice(k=58005, k_root=39, chosen=47)",
-    GenerationTrace: (
-        "GenerationTrace(x=41, center=42, extras=(ExtraChoice(k=58005, k_root=39, chosen=47), "
-        "ExtraChoice(k=1235, k_root=36, chosen=37), ExtraChoice(k=34, k_root=34, chosen=53)))"
-    ),
+    GenerationTrace: "GenerationTrace(x=41, extras=((58005, 39), (1235, 36), (34, 34)))",
     SchemeId: "SchemeId(family='proposed', cardinality=4)",
     ValidationReport: "ValidationReport(small_moduli=(1,), conflicting_pairs=((4, 6),), shortfall=1048551)",
     RnsContext: f"RnsContext(moduli_set={_MS_REPR}, crt_coeffs=(441, 280, 288))",
@@ -134,7 +128,7 @@ COPIERS = {
 
 
 def test_every_value_type_is_covered():
-    assert len(TYPES) == 11
+    assert len(TYPES) == 10
     assert set(SIGNATURES) == set(REPRS) == set(TYPES)
     for cls, (obj, _, _) in INSTANCES.items():
         assert type(obj) is cls
@@ -209,8 +203,8 @@ def test_repr_is_unchanged(cls):
 
 def test_records_of_different_types_are_never_equal():
     assert SchemeId("sm1") != ("sm1", None)
-    assert ExtraChoice(1, 2, ()) != GenerationTrace(1, 2, ())
-    assert ExtraChoice(1, 2, ()) == ExtraChoice(1, 2, ())
+    assert GenerationTrace(32, 6) != GenerationRequest(32, 6)
+    assert GenerationTrace(32, 6) == GenerationTrace(32, 6)
     assert len({SchemeId("sm1"), SchemeId("sm1"), SchemeId("sm2")}) == 2
 
 
