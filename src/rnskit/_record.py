@@ -4,11 +4,11 @@
 class Record:
     """Equality, hash and repr over the class's FIELDS; no assignment after __init__.
 
-    A subclass names its constructor fields, in order, in FIELDS and every
-    attribute in __slots__; its __init__ validates and then sets every slot
-    with one __setstate__ call, values in __slots__ order.  A slot outside
-    FIELDS is a cache: left out of equality, hash and repr, but kept by
-    pickle and copy.
+    FIELDS is exactly the constructor's parameters, in order (a test in
+    tests/test_records.py holds every type to it); __slots__ names every
+    attribute.  __init__ validates, then sets every slot with one
+    __setstate__ call, values in __slots__ order.  A slot outside FIELDS is
+    a derived cache, out of equality, hash and repr; pickle and copy keep it.
     """
 
     __slots__ = ()

@@ -277,7 +277,7 @@ def builtin_function2(e: int) -> Microprogram:
 #   END
 #
 # <src> is one of IN1, IN2, ADD, SUB, MUL; omitted unit fields mean the
-# unit is idle.  Lines starting with '#' are comments.
+# unit is idle.  A line ends only at \n, \r\n or \r; '#' lines are comments.
 
 _SOURCE_TOKENS = {s.value: s for s in Source if s is not Source.NONE}
 # field key -> the Step attributes it sets; render writes the keys in this order
@@ -333,7 +333,8 @@ def parse_program(text: str) -> Microprogram:
     """Parse program text, collecting line-numbered diagnostics on failure."""
     diagnostics: list[tuple[int, str]] = []
     lines = []
-    for number, raw in enumerate(text.splitlines(), start=1):
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for number, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -53,13 +53,14 @@ class RangeTooSmallError(ValueError):
 
 
 class ModuliSet(Record):
-    """Ordered moduli with their cached dynamic range (exact product).
+    """Ordered moduli; dynamic_range is their cached exact product.
 
     Read the moduli and their count from `.moduli`; they must be ints (not
     bools) but may fail `validate`'s >= 2 / coprimality / range checks.
     """
 
-    __slots__ = FIELDS = ("moduli", "dynamic_range")
+    FIELDS = ("moduli",)
+    __slots__ = (*FIELDS, "dynamic_range")
 
     def __init__(self, moduli: tuple[int, ...]) -> None:
         ms = tuple(moduli)
@@ -75,6 +76,9 @@ class GenerationRequest(Record):
     __slots__ = FIELDS = ("bits", "cardinality")
 
     def __init__(self, bits: int, cardinality: int) -> None:
+        for name, value in (("bits", bits), ("cardinality", cardinality)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} {value!r} is not an int")
         if cardinality < 3:
             raise CardinalityError(f"cardinality must be >= 3, got {cardinality}")
         if bits < 2:

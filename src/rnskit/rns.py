@@ -75,12 +75,12 @@ class RnsContext(Record):
 
     crt_coeffs[i] is M_i * y_i: 1 modulo the i-th modulus and 0 modulo
     every other one.  The remainder tree that to_rns walks is built here
-    too; it is left out of equality and repr.  Immutable after
-    construction; safe to share across threads.
+    too; both derive from the set and are left out of equality and repr.
+    Immutable after construction; safe to share across threads.
     """
 
-    FIELDS = ("moduli_set", "crt_coeffs")
-    __slots__ = (*FIELDS, "_tree")
+    FIELDS = ("moduli_set",)
+    __slots__ = (*FIELDS, "crt_coeffs", "_tree")
 
     def __init__(self, moduli_set: ModuliSet) -> None:
         self.__post_init__(moduli_set)

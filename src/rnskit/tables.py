@@ -17,7 +17,6 @@ from .numbers import parse_decimal
 
 __all__ = [
     "ComparisonRow",
-    "comparison_row",
     "comparison_rows",
     "rows_to_csv",
     "rows_from_csv",
@@ -57,23 +56,18 @@ class ComparisonRow(Record):
         self.__setstate__((bits, scheme, moduli, bit_cost, deviation_note))
 
 
-def comparison_row(bits: int, scheme: SchemeId) -> ComparisonRow:
-    if scheme.family == "proposed":
-        moduli_set, _ = find_moduli(GenerationRequest(bits, scheme.cardinality))
-    else:
-        moduli_set = baseline(scheme, bits)
-    return ComparisonRow(
-        bits=bits,
-        scheme=scheme,
-        moduli=moduli_set.moduli,
-        bit_cost=bit_cost(moduli_set),
-        deviation_note=DEVIATION_NOTES.get((bits, scheme.label)),
-    )
-
-
 def comparison_rows(bits_list, schemes) -> list[ComparisonRow]:
     """One row per (bits, scheme), bits-major, in the order given."""
-    return [comparison_row(bits, scheme) for bits in bits_list for scheme in schemes]
+    rows = []
+    for bits in bits_list:
+        for scheme in schemes:
+            if scheme.family == "proposed":
+                moduli_set, _ = find_moduli(GenerationRequest(bits, scheme.cardinality))
+            else:
+                moduli_set = baseline(scheme, bits)
+            note = DEVIATION_NOTES.get((bits, scheme.label))
+            rows.append(ComparisonRow(bits, scheme, moduli_set.moduli, bit_cost(moduli_set), note))
+    return rows
 
 
 def rows_to_csv(rows) -> str:

@@ -38,7 +38,7 @@ from rnskit.rns import (
     rns_sub,
     to_rns,
 )
-from rnskit.tables import comparison_row
+from rnskit.tables import comparison_rows
 
 # Reference sweep over bits x cardinality (moduli in generation order).
 # Cells marked in DEVIATIONS below disagree with the generation rules;
@@ -167,13 +167,13 @@ def test_criterion_2_extended_sweep_and_deviation_reports():
             assert moduli_set.moduli == reference
 
     # both deviations carry the quantitative justification
-    row24 = comparison_row(24, SchemeId("proposed", 3))
+    row24 = comparison_rows([24], [SchemeId("proposed", 3)])[0]
     assert row24.moduli == (258, 259, 257)
     assert row24.deviation_note is not None
     for fragment in ("16776960", "255 short", "16777215", "(258,259,257)"):
         assert fragment in row24.deviation_note
 
-    row32 = comparison_row(32, SchemeId("proposed", 5))
+    row32 = comparison_rows([32], [SchemeId("proposed", 5)])[0]
     assert row32.moduli == (86, 87, 85, 83, 89)
     assert row32.deviation_note is not None
     for fragment in ("83", "(86,87,85,83,89)", "equal cost"):
@@ -210,11 +210,11 @@ def test_criterion_3_three_moduli_comparison():
         assert bit_cost(member) == cost
 
     # flagged cells: the rule-faithful values, with notes present
-    ours24 = comparison_row(24, SchemeId("proposed", 3))
+    ours24 = comparison_rows([24], [SchemeId("proposed", 3)])[0]
     assert (ours24.moduli, ours24.bit_cost) == ((258, 259, 257), 27)
     assert ours24.deviation_note
 
-    ours32 = comparison_row(32, sm2)
+    ours32 = comparison_rows([32], [sm2])[0]
     assert ours32.moduli == (4096, 4095, 2047)
     # 13 + 12 + 11; the reference cell (4096,4097,2047) prints 37
     assert ours32.bit_cost == 36

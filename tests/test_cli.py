@@ -323,6 +323,14 @@ def test_convert_reverse(capsys):
     assert out.strip() == "36"
 
 
+def test_readme_convert_examples_print_their_outputs(capsys):
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    examples = re.findall(r"^rnskit (convert .*?)\s+# -> (\S+)$", readme, re.M)
+    assert len(examples) == 2
+    for argv, expected in examples:
+        assert invoke(capsys, *argv.split()) == (0, expected + "\n", "")
+
+
 def test_convert_invalid_set_exits_2(capsys):
     code, _, err = invoke(capsys, "convert", "--moduli", "6,9,5", "--value", "1")
     assert code == 2

@@ -491,6 +491,25 @@ def test_parse_other_keyword_keeps_its_line_numbered_diagnostic():
     assert exc.value.diagnostics == [(3, "expected STEP line, got 'STEPS'")]
 
 
+@pytest.mark.parametrize(
+    "text,diagnostics",
+    [
+        ("PROG p\n# note\u2028more\nSTEP a=1 emit=IN1\nEND\n", []),
+        ("PROG p\nSTEP a=1\x0cemit=IN1\nEND\n", []),
+        ("PROG p\r\n# note\x0bmore\rSTEP a=1 emit=IN1\r\nEND\r", []),
+        ("PROG p\n# note\x85more\nSTEP add=IN1,BAD\nEND\n", [(3, "unknown source token 'BAD'")]),
+    ],
+    ids=["u2028-in-comment", "form-feed-in-step", "vt-with-crlf-and-cr", "nel-before-diagnostic"],
+)
+def test_parse_ends_lines_only_at_lf_crlf_and_cr(text, diagnostics):
+    if not diagnostics:
+        assert parse_program(text).steps == (Step(inject_a=1, emit=Source.IN1),)
+        return
+    with pytest.raises(ProgramParseError) as exc:
+        parse_program(text)
+    assert exc.value.diagnostics == diagnostics
+
+
 def test_parse_missing_header():
     with pytest.raises(ProgramParseError) as exc:
         parse_program("STEP a=1\nEND\n")

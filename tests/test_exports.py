@@ -56,3 +56,26 @@ def test_readme_library_import_resolves_on_the_root():
     assert "find_moduli" in names
     missing = [name for name in names if not hasattr(rnskit, name)]
     assert missing == []
+
+
+def test_readme_library_block_runs_as_written():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    env = {}
+    exec(block, env)
+    # each claim in the block's comments, evaluated against what it ran
+    claims = [
+        "moduli_set.moduli == (42, 43, 41, 47, 37, 53)",
+        "bit_cost(moduli_set) == 36",
+        "trace.x == 41",
+        "trace.extras == ((58005, 39), (1235, 36), (34, 34))",
+        "outputs == [36]",
+    ]
+    for claim in claims:
+        assert claim in block
+        assert eval(claim, env), claim
+    assert "# residues (4, 0, 1)" in block and env["x"].residues == (4, 0, 1)
+    assert "moduli_set.moduli[3 + j]" in block
+    moduli_set, trace = env["moduli_set"], env["trace"]
+    assert len(trace.extras) == len(moduli_set.moduli) - 3 == 3
+    assert moduli_set.moduli[3:] == (47, 37, 53)

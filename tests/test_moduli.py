@@ -83,6 +83,21 @@ def test_bits_below_two_rejected():
         GenerationRequest(1, 3)
 
 
+@pytest.mark.parametrize(
+    "bits,cardinality,field",
+    [
+        (32.0, 6, "bits"),
+        (32, 6.0, "cardinality"),
+        ("32", 6, "bits"),
+        (True, 3, "bits"),
+        (64, True, "cardinality"),
+    ],
+)
+def test_request_rejects_a_field_that_is_not_an_int(bits, cardinality, field):
+    with pytest.raises(TypeError, match=f"^{field} .+ is not an int$"):
+        GenerationRequest(bits, cardinality)
+
+
 # --- baselines ------------------------------------------------------------------
 
 
