@@ -145,16 +145,17 @@ def _context(moduli_text: str) -> RnsContext:
     return RnsContext(moduli_set)
 
 
+def _warn_if_wraps(ctx: RnsContext, value: int) -> None:
+    if value >= (total := ctx.moduli_set.dynamic_range):
+        print(f"warning: value {value} >= dynamic range {total}; reduced modulo the range",
+              file=sys.stderr)
+
+
 def cmd_convert(args) -> int:
     ctx = _context(args.moduli)
-    total = ctx.moduli_set.dynamic_range
     if args.value is not None:
         value = _decimal(args.value, "value")
-        if value >= total:
-            print(
-                f"warning: value {value} >= dynamic range {total}; reduced modulo the range",
-                file=sys.stderr,
-            )
+        _warn_if_wraps(ctx, value)
         number = to_rns(ctx, value)
         print(",".join(str(r) for r in number.residues))
     else:
@@ -194,6 +195,8 @@ def cmd_run(args) -> int:
         prog = parse_program(text)
     ctx = _context(args.moduli)
     outputs, trace = run(ctx, prog, bindings)
+    for name in dict.fromkeys(name for _, name in prog._placeholders):
+        _warn_if_wraps(ctx, bindings[name])
     if args.trace:
         _print_trace(trace)
     for value in outputs:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from enum import Enum
 
 from ._record import Record
-from .numbers import parse_decimal
+from .numbers import check_int, parse_decimal
 from .rns import RnsContext, RnsNumber, from_rns, rns_add, rns_mul, rns_sub, to_rns
 
 __all__ = [
@@ -81,32 +81,27 @@ class ProgramParseError(ValueError):
 
 
 def _check_unsigned(label: str, value) -> None:
-    if not isinstance(value, int):
-        raise ValueError(f"{label} injection must be an int or placeholder name")
+    check_int(f"{label} injection", value)
     if value < 0:
         raise ValueError(f"{label} injection must be unsigned, got {value}")
 
 
 def _check_injection(label: str, value) -> None:
-    if value is None:
-        return
     if isinstance(value, str):
         # for ASCII text this is exactly [A-Za-z_][A-Za-z0-9_]*
         if not (value.isascii() and value.isidentifier()):
             raise ValueError(f"{label} placeholder {value!r} is not an identifier")
-    elif isinstance(value, bool):
-        raise ValueError(f"{label} injection must be an int or placeholder name")
-    else:
+    elif value is not None:
         _check_unsigned(label, value)
 
 
 class Step(Record):
     """One microprogram step: injections, unit selects, and the emit select.
 
-    inject_a / inject_b are unsigned ints (not bools), placeholder names
-    bound at run time, or None.  Every select is a Source.  A unit computes
-    this step iff both of its selects are non-NONE; half-selected units are
-    rejected at construction.  Microprogram finds the placeholders.
+    inject_a / inject_b are unsigned ints (TypeError for a bool or non-int),
+    placeholder names bound at run time, or None.  Every select is a Source.
+    A unit computes this step iff both of its selects are non-NONE;
+    half-selected units are rejected.  Microprogram finds the placeholders.
     """
 
     FIELDS = ("inject_a", "inject_b", "add_l", "add_r", "sub_l", "sub_r", "mul_l", "mul_r", "emit")
@@ -196,9 +191,9 @@ def run(
 ) -> tuple[list[int], list[dict[Source, RnsNumber]]]:
     """Run a program and return (outputs, per-step latch snapshots).
 
-    Before the first step executes, every placeholder must be bound to an
-    unsigned int (checked in step order, a before b); a read of an
-    undefined latch raises RunFault carrying the step index.
+    Before the first step, each placeholder must be bound to an unsigned
+    int, not a bool (checked in step order, a before b, as Step checks an
+    injection).  A read of an undefined latch raises RunFault with its step.
     """
     bindings = bindings or {}
     for label, name in prog._placeholders:
@@ -256,10 +251,11 @@ def builtin_function2(e: int) -> Microprogram:
 
     e == 0 emits an injected constant 1 and e == 1 emits X directly;
     otherwise X is injected into both converters and e - 1 multiply steps
-    accumulate into the multiplier latch before the emit.  A call validates
-    nothing: e < 2 returns a shared program, and e >= 2 builds one tuple of
+    accumulate into the multiplier latch before the emit.  e is an int >= 0,
+    not a bool.  e < 2 returns a shared program; e >= 2 builds one tuple of
     e + 1 references to shared steps and shares one placeholder record.
     """
+    check_int("exponent", e)
     if e < 0:
         raise ValueError(f"exponent must be >= 0, got {e}")
     if e < 2:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from math import gcd, prod
 
 from ._record import Record
-from .numbers import ceil_nth_root, parse_decimal
+from .numbers import ceil_nth_root, check_int, parse_decimal
 
 __all__ = [
     "ModuliSet",
@@ -52,6 +52,13 @@ class RangeTooSmallError(ValueError):
     """The bit budget is too small for the request (a modulus < 2 would result)."""
 
 
+def check_bits(bits) -> None:
+    """Raise unless bits is an int >= 2: TypeError, else RangeTooSmallError."""
+    check_int("bits", bits)
+    if bits < 2:
+        raise RangeTooSmallError(f"bits must be >= 2, got {bits}")
+
+
 class ModuliSet(Record):
     """Ordered moduli; dynamic_range is their cached exact product.
 
@@ -65,8 +72,7 @@ class ModuliSet(Record):
     def __init__(self, moduli: tuple[int, ...]) -> None:
         ms = tuple(moduli)
         for m in ms:
-            if isinstance(m, bool) or not isinstance(m, int):
-                raise TypeError(f"modulus {m!r} is not an int")
+            check_int("modulus", m)
         self.__setstate__((ms, prod(ms)))
 
 
@@ -76,13 +82,10 @@ class GenerationRequest(Record):
     __slots__ = FIELDS = ("bits", "cardinality")
 
     def __init__(self, bits: int, cardinality: int) -> None:
-        for name, value in (("bits", bits), ("cardinality", cardinality)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"{name} {value!r} is not an int")
+        check_int("cardinality", cardinality)
         if cardinality < 3:
             raise CardinalityError(f"cardinality must be >= 3, got {cardinality}")
-        if bits < 2:
-            raise RangeTooSmallError(f"bits must be >= 2, got {bits}")
+        check_bits(bits)
         self.__setstate__((bits, cardinality))
 
 
@@ -107,14 +110,16 @@ class GenerationTrace(Record):
 class SchemeId(Record):
     """Identifies a generation scheme: ours at some cardinality, or a baseline.
 
-    family is "proposed" (cardinality >= 3 required) or one of the
-    power-of-two baseline families "sm1", "sm2", "sm3".
+    family is "proposed" (cardinality an int >= 3, not a bool) or one of
+    the power-of-two baseline families "sm1", "sm2", "sm3".
     """
 
     __slots__ = FIELDS = ("family", "cardinality")
 
     def __init__(self, family: str, cardinality: int | None = None) -> None:
         if family == "proposed":
+            if cardinality is not None:
+                check_int("cardinality", cardinality)
             if cardinality is None or cardinality < 3:
                 raise CardinalityError(
                     f"proposed scheme needs cardinality >= 3, got {cardinality}"
@@ -239,14 +244,13 @@ def find_moduli(req: GenerationRequest) -> tuple[ModuliSet, GenerationTrace]:
 def baseline(scheme: SchemeId, bits: int) -> ModuliSet:
     """Smallest member of a power-of-two baseline family covering 2**bits - 1.
 
-    Finds the smallest family parameter n whose member has all moduli
-    >= 2 and a product reaching the target, by doubling n until a member
-    covers and then bisecting between the last two doublings.
+    bits is an int >= 2, not a bool.  Finds the smallest family parameter
+    n whose member has all moduli >= 2 and a product reaching the target,
+    by doubling n until a member covers, then bisecting the last doubling.
     """
     if scheme.family not in BASELINE_FAMILIES:
         raise ValueError(f"baseline requires one of {tuple(BASELINE_FAMILIES)}, got {scheme.label}")
-    if bits < 2:
-        raise RangeTooSmallError(f"bits must be >= 2, got {bits}")
+    check_bits(bits)
     target = (1 << bits) - 1
     member = BASELINE_FAMILIES[scheme.family]
 
@@ -290,10 +294,11 @@ def structural_faults(ms: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple
 def validate(moduli_set: ModuliSet, bits: int) -> ValidationReport:
     """Check moduli >= 2, pairwise coprimality, and range coverage.
 
-    The report carries each failure separately: the offending small
-    moduli, every non-coprime pair, and how far the dynamic range falls
-    short of 2**bits - 1 (zero when covered).
+    bits is an int >= 2, not a bool.  The report carries each failure
+    separately: the offending small moduli, every non-coprime pair, and how
+    far the dynamic range falls short of 2**bits - 1 (zero when covered).
     """
+    check_bits(bits)
     small, pairs = structural_faults(moduli_set.moduli)
     target = (1 << bits) - 1
     shortfall = max(0, target - moduli_set.dynamic_range)

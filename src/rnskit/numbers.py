@@ -90,3 +90,9 @@ def parse_decimal(text: str) -> int | None:
         return int(text)
     except ValueError:
         return None
+
+
+def check_int(label: str, value) -> None:
+    """TypeError naming label unless value is an int other than a bool; subclasses pass."""
+    if type(value) is bool or not isinstance(value, int):
+        raise TypeError(f"{label} {value!r} is not an int")

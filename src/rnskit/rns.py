@@ -25,7 +25,7 @@ from operator import add, mod, mul, sub
 
 from ._record import Record
 from .moduli import ModuliSet, structural_faults
-from .numbers import NotCoprimeError, mod_inverse
+from .numbers import NotCoprimeError, check_int, mod_inverse
 
 __all__ = [
     "RnsContext",
@@ -107,7 +107,7 @@ class RnsContext(Record):
 
 
 class RnsNumber(Record):
-    """Residue vector bound to the moduli set it was formed against."""
+    """Residues, ints (not bools) in [0, m), bound to the set they were formed against."""
 
     __slots__ = FIELDS = ("residues", "moduli_set")
 
@@ -117,8 +117,7 @@ class RnsNumber(Record):
         if len(residues) != len(ms):
             raise RnsError(f"expected {len(ms)} residues, got {len(residues)}")
         for r, m in zip(residues, ms):
-            if not isinstance(r, int):
-                raise TypeError(f"residue {r!r} is not an int")
+            check_int("residue", r)
             if not 0 <= r < m:
                 raise RnsError(f"residue {r} out of range for modulus {m}")
         self.__setstate__((residues, moduli_set))
@@ -154,9 +153,9 @@ def _channelwise(ctx: RnsContext, op, a: RnsNumber, b: RnsNumber) -> RnsNumber:
 
 
 def to_rns(ctx: RnsContext, x: int) -> RnsNumber:
-    """Convert x to residues; values >= the dynamic range wrap around."""
-    if not isinstance(x, int):
-        raise TypeError(f"value {x!r} is not an int")
+    """Convert an int x >= 0 (not a bool) to residues; x >= the dynamic range wraps."""
+    if type(x) is not int:
+        check_int("value", x)
     if x < 0:
         raise RnsError(f"negative values are unsupported, got {x}")
     number = _new(RnsNumber)
@@ -188,10 +187,11 @@ def rns_mul(ctx: RnsContext, a: RnsNumber, b: RnsNumber) -> RnsNumber:
 
 
 def rns_pow(ctx: RnsContext, a: RnsNumber, e: int) -> RnsNumber:
-    """Channel-wise exponentiation (square-and-multiply per channel)."""
+    """Channel-wise a ** e (square-and-multiply per channel); e is an int >= 0, not a bool."""
     ms = ctx.moduli_set
     if a.moduli_set is not ms:
         _check_operand(ctx, a)
+    check_int("exponent", e)
     if e < 0:
         raise RnsError(f"exponent must be >= 0, got {e}")
     number = _new(RnsNumber)

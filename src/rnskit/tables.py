@@ -12,7 +12,8 @@ import csv
 import io
 
 from ._record import Record
-from .moduli import ModuliSet, SchemeId, baseline, bit_cost, find_moduli, GenerationRequest
+from .moduli import (ModuliSet, SchemeId, baseline, bit_cost, check_bits, find_moduli,
+                     GenerationRequest)
 from .numbers import parse_decimal
 
 __all__ = [
@@ -113,9 +114,8 @@ def rows_from_csv(text: str) -> list[ComparisonRow]:
             raise ValueError(f"line {line}: expected {len(CSV_HEADER)} fields, got {len(record)}")
         bits, scheme, cardinality, moduli, cost, note = record
         bits = _field(line, "bits", bits)
-        if bits < 2:
-            raise ValueError(f"line {line}: bits must be >= 2, got {bits}")
         try:
+            check_bits(bits)
             scheme = SchemeId.parse(scheme)
         except ValueError as exc:
             raise type(exc)(f"line {line}: {exc}") from None

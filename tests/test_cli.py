@@ -344,6 +344,26 @@ def test_convert_warns_on_large_value(capsys):
     assert "warning" in err
 
 
+def _wraps(value):
+    return f"warning: value {value} >= dynamic range 504; reduced modulo the range\n"
+
+
+def test_run_warns_once_per_bound_value_that_wraps(capsys):
+    function1 = ("run", "--builtin", "function1", "--moduli", "8,9,7", "--bind")
+    # X is injected as 1000 mod 504 = 496, with convert's warning text
+    assert invoke(capsys, *function1, "X=1000,Y=0,Z=1") == (0, "496\n", _wraps(1000))
+    convert = ("convert", "--moduli", "8,9,7", "--value", "1000")
+    assert invoke(capsys, *convert) == (0, "0,1,6\n", _wraps(1000))
+    # each binding the program reads, in step order; W is not read
+    expected = (0, "0\n", _wraps(600) + _wraps(504))
+    assert invoke(capsys, *function1, "W=9999,Z=504,Y=600,X=7") == expected
+    # function2 reads X in both converters and warns once; E is no injection
+    run2 = ("run", "--builtin", "function2", "--moduli", "8,9,7", "--bind")
+    assert invoke(capsys, *run2, "X=505,E=1000") == (0, "1\n", _wraps(505))
+    # every binding is below the range: the product wraps in the ring, unwarned
+    assert invoke(capsys, *function1, "X=500,Y=500,Z=500") == (0, "32\n", "")
+
+
 def test_convert_residue_out_of_range_exits_2(capsys):
     code, _, _ = invoke(capsys, "convert", "--moduli", "8,9,7", "--residues", "8,0,0")
     assert code == 2

@@ -81,14 +81,15 @@ def test_half_selected_unit_rejected():
 
 @pytest.mark.parametrize("kwargs,label", [({"inject_a": True}, "a"), ({"inject_b": False}, "b")])
 def test_bool_injection_literal_rejected(kwargs, label):
-    with pytest.raises(ValueError, match=f"^{label} injection must be an int or placeholder name$"):
+    value = next(iter(kwargs.values()))
+    with pytest.raises(TypeError, match=f"^{label} injection {value} is not an int$"):
         Step(**kwargs, emit=Source.IN1)
 
 
-def test_bool_bound_value_accepted():
-    # a bound value is checked as to_rns checks it: bool counts as int
-    outputs, _ = run(CTX, builtin_function1(), {"X": True, "Y": 1, "Z": 3})
-    assert outputs == [6]
+def test_bool_bound_value_rejected():
+    # a bound value is checked as a Step injection is: a bool is not an int
+    with pytest.raises(TypeError, match="^a injection True is not an int$"):
+        run(CTX, builtin_function1(), {"X": True, "Y": 1, "Z": 3})
 
 
 def test_run_is_the_only_public_entry_point(monkeypatch):
@@ -281,7 +282,9 @@ def test_unbound_placeholder_names_it():
 def test_bad_bound_value_rejected_before_any_step(monkeypatch, bindings):
     executed = []
     monkeypatch.setattr(datapath, "step", lambda *args, **kwargs: executed.append(args))
-    with pytest.raises(ValueError):
+    # a negative int is out of range (ValueError); any other bad value is not an int
+    error = ValueError if all(type(v) is int for v in bindings.values()) else TypeError
+    with pytest.raises(error):
         run(CTX, builtin_function1(), bindings)
     assert executed == []
 
@@ -764,7 +767,7 @@ def _outcome(call):
     """The result, or the fault with every field a caller can read."""
     try:
         return "ok", call()
-    except (RunFault, UnboundPlaceholderError, ValueError) as exc:
+    except (RunFault, UnboundPlaceholderError, TypeError, ValueError) as exc:
         fields = (
             getattr(exc, "step_index", None),
             getattr(exc, "source", None),
@@ -826,12 +829,15 @@ def test_bound_value_outcome_is_the_full_check(name, value):
     bindings = {"X": 7, "Y": 1, "Z": 3, name: value}
     outcome = _ran(run, CTX, builtin_function1(), bindings)
     assert outcome == _ran(_reference_run, CTX, builtin_function1(), bindings)
-    if isinstance(value, int) and value >= 0:
-        assert outcome[1][0] == [(bindings["X"] + 1) * bindings["Z"] % 504]
+    label = "a" if name == "X" else "b"
+    if value == -1:
+        message = f"{label} injection must be unsigned, got -1"
+        assert outcome == ("fault", ValueError, (None, None, None), message)
+    elif type(value) in (bool, float, str):
+        message = f"{label} injection {value!r} is not an int"
+        assert outcome == ("fault", TypeError, (None, None, None), message)
     else:
-        label = "a" if name == "X" else "b"
-        kind = "unsigned, got -1" if value == -1 else "an int or placeholder name"
-        assert outcome == ("fault", ValueError, (None, None, None), f"{label} injection must be {kind}")
+        assert outcome[1][0] == [(bindings["X"] + 1) * bindings["Z"] % 504]
 
 
 @pytest.mark.parametrize("unit", ["add", "sub", "mul"])

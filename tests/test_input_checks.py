@@ -1,0 +1,129 @@
+"""Every public entry point checks its int inputs through one helper.
+
+numbers.check_int raises TypeError naming the field unless a value is an
+int that is not a bool; moduli.check_bits adds the bit budget's >= 2.
+The first test walks every entry point that takes an int; the others
+hold the source to one int check and to exact integer arithmetic.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import rnskit
+from rnskit.datapath import Source, Step, builtin_function1, builtin_function2, run
+from rnskit.moduli import GenerationRequest, ModuliSet, SchemeId, baseline, validate
+from rnskit.rns import RnsContext, RnsNumber, rns_pow, to_rns
+
+CTX = RnsContext(ModuliSet((8, 9, 7)))
+SRC = Path(rnskit.__file__).parent
+
+# entry point -> (a call that passes the value to one field, the label the
+# field's messages give it, a negative value it rejects or None when the
+# field takes any int)
+ENTRY_POINTS = {
+    "ModuliSet": (lambda v: ModuliSet((8, v, 7)), "modulus", None),
+    "GenerationRequest.bits": (lambda v: GenerationRequest(v, 3), "bits", -1),
+    "GenerationRequest.cardinality": (lambda v: GenerationRequest(16, v), "cardinality", -1),
+    "SchemeId": (lambda v: SchemeId("proposed", v), "cardinality", -1),
+    "baseline": (lambda v: baseline(SchemeId("sm1"), v), "bits", -1),
+    "validate": (lambda v: validate(ModuliSet((8, 9, 7)), v), "bits", -5),
+    "RnsNumber": (lambda v: RnsNumber((v, 0, 0), CTX.moduli_set), "residue", -1),
+    "to_rns": (lambda v: to_rns(CTX, v), "value", -1),
+    "rns_pow": (lambda v: rns_pow(CTX, to_rns(CTX, 3), v), "exponent", -1),
+    "Step.inject_a": (lambda v: Step(inject_a=v, emit=Source.IN1), "a injection", -1),
+    "Step.inject_b": (lambda v: Step(inject_b=v, emit=Source.IN2), "b injection", -1),
+    "run": (lambda v: run(CTX, builtin_function1(), {"X": 7, "Y": 1, "Z": v}), "b injection", -1),
+    "builtin_function2": (builtin_function2, "exponent", -1),
+}
+# a str injection is a placeholder name, so "3" fails the identifier check
+PLACEHOLDERS = {"Step.inject_a": "a placeholder", "Step.inject_b": "b placeholder"}
+
+
+def _cases():
+    for name, (call, field, negative) in ENTRY_POINTS.items():
+        for value in (1.5, "3", True):
+            if value == "3" and name in PLACEHOLDERS:
+                error, message = ValueError, f"{PLACEHOLDERS[name]} '3' is not an identifier"
+            else:
+                error, message = TypeError, f"{field} {value!r} is not an int"
+            yield pytest.param(call, value, error, message, id=f"{name}-{value!r}")
+        if negative is not None:
+            yield pytest.param(call, negative, ValueError, field, id=f"{name}-{negative}")
+
+
+@pytest.mark.parametrize("call,value,error,message", list(_cases()))
+def test_each_entry_point_rejects_a_bad_value_naming_the_field(call, value, error, message):
+    # a TypeError message is matched whole; a range error need only name the field
+    with pytest.raises(error) as exc:
+        call(value)
+    if error is TypeError:
+        assert str(exc.value) == message
+    else:
+        assert message in str(exc.value)
+
+
+def _int_checks(tree: ast.AST) -> list[ast.Call]:
+    """Every isinstance call whose type argument names int or bool."""
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+        and any(getattr(kind, "id", None) in ("int", "bool") for kind in ast.walk(node.args[1]))
+    ]
+
+
+def _violations(source: str, filename: str) -> list[str]:
+    """Each int check outside numbers.check_int, float literal or name, and
+    true division in source, as 'file:line: what'."""
+    tree = ast.parse(source)
+    allowed = set()
+    if filename == "numbers.py":
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name == "check_int":
+                allowed = {id(check) for check in _int_checks(node)}
+    found = [
+        f"{filename}:{node.lineno}: isinstance against int or bool"
+        for node in _int_checks(tree) if id(node) not in allowed
+    ]
+    for node in ast.walk(tree):
+        where = f"{filename}:{getattr(node, 'lineno', 0)}"
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"{where}: float literal {node.value!r}")
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append(f"{where}: name float")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append(f"{where}: true division")
+    return found
+
+
+def test_source_has_one_int_check_and_no_floating_point():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert "numbers.py" in sources
+    assert [v for name, text in sources.items() for v in _violations(text, name)] == []
+    # the one int check left is the predicate inside check_int
+    assert len([c for text in sources.values() for c in _int_checks(ast.parse(text))]) == 1
+
+
+@pytest.mark.parametrize(
+    "source,what",
+    [
+        ("ok = isinstance(v, int)", "isinstance against int or bool"),
+        ("ok = isinstance(v, (str, bool))", "isinstance against int or bool"),
+        ("x = 0.5", "float literal 0.5"),
+        ("x = 1e3", "float literal 1000.0"),
+        ("x = float(y)", "name float"),
+        ("x = a / b", "true division"),
+        ("x /= 2", "true division"),
+    ],
+)
+def test_the_source_scan_finds_each_forbidden_node(source, what):
+    assert _violations(source, "moduli.py") == [f"moduli.py:1: {what}"]
+
+
+def test_the_source_scan_allows_the_check_only_inside_check_int():
+    source = "def check_int(label, value):\n    return isinstance(value, int)\n"
+    assert _violations(source, "numbers.py") == []
+    assert _violations(source, "rns.py") == ["rns.py:2: isinstance against int or bool"]
+    # integer forms stay allowed: floor division, type identity, int literals
+    assert _violations("x = a // b if type(a) is int else 2 ** 3", "rns.py") == []

@@ -70,9 +70,10 @@ def test_forward_rejects_negative():
 
 
 def test_forward_rejects_non_int():
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="^value 7.5 is not an int$"):
         to_rns(CTX, 7.5)
-    assert to_rns(CTX, True).residues == (1, 1, 1)
+    with pytest.raises(TypeError, match="^value True is not an int$"):
+        to_rns(CTX, True)
 
 
 def remainder_oracle(moduli, x):
@@ -153,7 +154,8 @@ def test_residue_out_of_range_rejected():
 def test_non_int_residue_rejected():
     with pytest.raises(TypeError):
         RnsNumber((1.5, 2, 3), CTX.moduli_set)
-    assert from_rns(CTX, RnsNumber((True, 0, 0), CTX.moduli_set)) == 441
+    with pytest.raises(TypeError, match="^residue True is not an int$"):
+        RnsNumber((True, 0, 0), CTX.moduli_set)
 
 
 def test_residues_given_as_list_become_a_tuple():
