@@ -197,6 +197,9 @@ def cmd_run(args) -> int:
     outputs, trace = run(ctx, prog, bindings)
     for name in dict.fromkeys(name for _, name in prog._placeholders):
         _warn_if_wraps(ctx, bindings[name])
+    literals = (v for s in prog.steps for v in (s.inject_a, s.inject_b) if type(v) is int)
+    for value in dict.fromkeys(literals):
+        _warn_if_wraps(ctx, value)
     if args.trace:
         _print_trace(trace)
     for value in outputs:

@@ -227,12 +227,13 @@ _POW_BELOW_2 = (
     Microprogram("function2", (Step(inject_a=1, emit=Source.IN1),)),
     Microprogram("function2", (Step(inject_a="X", emit=Source.IN1),)),
 )
-_POW_HEAD = (Step(inject_a="X", inject_b="X"), Step(mul_l=Source.IN1, mul_r=Source.IN2))
-_POW_LOOP = Step(mul_l=Source.MUL, mul_r=Source.IN1)
-_POW_EMIT = Step(emit=Source.MUL)
-# the loop and emit steps inject nothing, so every function2(e) with
-# e >= 2 has the placeholder record of its head
-_POW_PAIRS = Microprogram("function2", _POW_HEAD)._placeholders
+_POW_INJECT = Step(inject_a="X", inject_b="X")
+# first square, square, times X: each plain and emitting, as emit reads the
+# post-update latch; none injects, so all e >= 2 share _POW_INJECT's record
+_POW_FIRST, _POW_SQUARE, _POW_TIMES_X = (
+    (Step(mul_l=l, mul_r=r), Step(mul_l=l, mul_r=r, emit=_MUL))
+    for l, r in ((_IN1, _IN2), (_MUL, _MUL), (_MUL, _IN1)))
+_POW_PAIRS = Microprogram("function2", (_POW_INJECT,))._placeholders
 
 
 def builtin_function1() -> Microprogram:
@@ -247,21 +248,28 @@ def builtin_function1() -> Microprogram:
 
 
 def builtin_function2(e: int) -> Microprogram:
-    """X ** e by repeated multiplication, unrolled at build time.
+    """X ** e by left-to-right square-and-multiply, in floor(log2 e) + popcount(e) cycles.
 
-    e == 0 emits an injected constant 1 and e == 1 emits X directly;
-    otherwise X is injected into both converters and e - 1 multiply steps
-    accumulate into the multiplier latch before the emit.  e is an int >= 0,
-    not a bool.  e < 2 returns a shared program; e >= 2 builds one tuple of
-    e + 1 references to shared steps and shares one placeholder record.
+    e == 0 emits an injected constant 1 and e == 1 emits X directly.  Else X
+    is injected into both converters, and each bit of e below the leading one
+    squares the multiplier latch (the first square is IN1 * IN2) and, if set,
+    multiplies it by X; the last multiply emits.  So e = 0b1101 runs inject,
+    X * X, * X, square, square, * X with emit.  e is an int >= 0, not a bool;
+    e < 2 returns a shared program, e >= 2 one tuple of shared steps.
     """
     check_int("exponent", e)
     if e < 0:
         raise ValueError(f"exponent must be >= 0, got {e}")
     if e < 2:
         return _POW_BELOW_2[e]
+    steps, square = [_POW_INJECT], _POW_FIRST
+    for bit in bin(e)[3:]:
+        steps += (square[0], _POW_TIMES_X[0]) if bit == "1" else (square[0],)
+        square = _POW_SQUARE
+    # an odd e ends on times X, an even one on its only or its last square
+    steps[-1] = (_POW_TIMES_X if e & 1 else _POW_FIRST if e == 2 else _POW_SQUARE)[1]
     prog = object.__new__(Microprogram)
-    prog.__setstate__(("function2", _POW_HEAD + (_POW_LOOP,) * (e - 2) + (_POW_EMIT,), _POW_PAIRS))
+    prog.__setstate__(("function2", tuple(steps), _POW_PAIRS))
     return prog
 
 

@@ -25,11 +25,15 @@ class NotCoprimeError(ValueError):
 def ceil_nth_root(v: int, n: int, *, start: int | None = None) -> int:
     """Smallest r with r**n >= v, i.e. the ceiling of the real n-th root.
 
-    Requires v >= 1 and n >= 1.  Exact integer Newton iteration from above,
-    starting at 2**ceil(bitlen/n) > v**(1/n), or at `start` when that is
-    smaller.  A caller that knows an upper bound on the root passes it as
-    `start`: an int >= 1 with start**n >= v, else ValueError.
+    Requires ints v >= 1 and n >= 1 (TypeError for a bool or a non-int).
+    Exact integer Newton iteration from above, starting at
+    2**ceil(bitlen/n) > v**(1/n), or at `start` when that is smaller.  A
+    caller that knows an upper bound on the root passes it as `start`: an
+    int >= 1 with start**n >= v, else ValueError (TypeError if not an int).
     """
+    if type(v) is not int or type(n) is not int:
+        check_int("v", v)
+        check_int("n", n)
     if v < 1:
         raise ValueError(f"ceil_nth_root requires v >= 1, got {v}")
     if n < 1:
@@ -37,6 +41,8 @@ def ceil_nth_root(v: int, n: int, *, start: int | None = None) -> int:
     e = (v.bit_length() + n - 1) // n
     x, p = 1 << e, 1 << (e * (n - 1))
     if start is not None:
+        if type(start) is not int:
+            check_int("start", start)
         if start < 1 or (q := start ** (n - 1)) * start < v:
             raise ValueError(f"ceil_nth_root start must be >= 1 with start**n >= v, got {start}")
         if start < x:
@@ -53,11 +59,14 @@ def ceil_nth_root(v: int, n: int, *, start: int | None = None) -> int:
 
 
 def mod_inverse(a: int, m: int) -> int:
-    """Inverse of a modulo m >= 2.
+    """Inverse of a modulo m >= 2; a and m are ints, not bools (TypeError).
 
     Returns y in [1, m) with (a * y) % m == 1; raises NotCoprimeError
     when gcd(a % m, m) != 1.
     """
+    if type(a) is not int or type(m) is not int:
+        check_int("a", a)
+        check_int("m", m)
     if m < 2:
         raise ValueError(f"mod_inverse requires m >= 2, got {m}")
     a %= m

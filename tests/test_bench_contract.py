@@ -42,6 +42,10 @@ cases = [
     ("function2(5)", rnskit.builtin_function2(5)),
     # the benchmark's largest exponent, on the program built without a step scan
     ("function2(32)", rnskit.builtin_function2(32)),
+    # all ones: the first square, then square and times X pairs
+    ("function2(31)", rnskit.builtin_function2(31)),
+    # the CLI's largest exponent: squares only
+    ("function2(4096)", rnskit.builtin_function2(4096)),
     ("cross", rnskit.parse_program(SimNarrow.CROSS)),
 ]
 report = []
@@ -131,7 +135,10 @@ def test_traced_counts_match_program_fields():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    programs = ["function1", "function2(0)", "function2(1)", "function2(5)", "function2(32)", "cross"]
+    programs = [
+        "function1", "function2(0)", "function2(1)", "function2(5)", "function2(32)",
+        "function2(31)", "function2(4096)", "cross",
+    ]
     assert [name for name, _, _ in report] == [
         f"{ctx} {prog}" for ctx in ("narrow", "wide") for prog in programs
     ]

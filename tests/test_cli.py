@@ -364,6 +364,21 @@ def test_run_warns_once_per_bound_value_that_wraps(capsys):
     assert invoke(capsys, *function1, "X=500,Y=500,Z=500") == (0, "32\n", "")
 
 
+def test_run_warns_once_per_literal_injection_that_wraps(capsys, tmp_path):
+    path = tmp_path / "wrap.txt"
+    program = ("run", "--program", str(path), "--moduli", "8,9,7")
+    path.write_text("PROG p\nSTEP a=1000 emit=IN1\nEND\n")
+    assert invoke(capsys, *program) == (0, "496\n", _wraps(1000))
+    # the bindings first, then each distinct literal in step order, a before b;
+    # step 1 emits step 0's sum, 1000 + 600 mod 504
+    path.write_text("PROG p\nSTEP a=1000 b=$X add=IN1,IN2\nSTEP a=700 b=1000 emit=ADD\nEND\n")
+    expected = (0, "88\n", _wraps(600) + _wraps(1000) + _wraps(700))
+    assert invoke(capsys, *program, "--bind", "X=600") == expected
+    # a literal below the range is injected as is, unwarned
+    path.write_text("PROG p\nSTEP a=503 emit=IN1\nEND\n")
+    assert invoke(capsys, *program) == (0, "503\n", "")
+
+
 def test_convert_residue_out_of_range_exits_2(capsys):
     code, _, _ = invoke(capsys, "convert", "--moduli", "8,9,7", "--residues", "8,0,0")
     assert code == 2
@@ -552,6 +567,15 @@ def test_run_trace_goes_to_stderr(capsys):
     assert out.strip() == "36"
     assert "step 0:" in err
     assert "IN1=(7,7,0)" in err
+
+
+@pytest.mark.parametrize("x,e,output,steps", [("3", 4096, 81, 13), ("5", 4095, 125, 23)])
+def test_run_function2_traces_one_line_per_cycle(capsys, x, e, output, steps):
+    # floor(log2 E) + popcount(E) cycles, as README states
+    run2 = ("run", "--builtin", "function2", "--moduli", "8,9,7", "--trace")
+    code, out, err = invoke(capsys, *run2, "--bind", f"X={x},E={e}")
+    assert (code, out) == (0, f"{output}\n")
+    assert [line.split(":")[0] for line in err.splitlines()] == [f"step {i}" for i in range(steps)]
 
 
 def test_run_unknown_builtin_exits_1(capsys):

@@ -107,7 +107,8 @@ def test_run_is_the_only_public_entry_point(monkeypatch):
     monkeypatch.setattr(datapath, "step", counted)
     outputs, _ = run(CTX, builtin_function2(5), {"X": 2})
     assert outputs == [32]
-    assert indices == list(range(6))
+    # 5 = 0b101: inject, X * X, square, times X with the emit
+    assert indices == list(range(4))
 
 
 # --- program runs ------------------------------------------------------------------
@@ -155,23 +156,38 @@ def _fresh_function1():
     )
 
 
+def _multiplies(e):
+    """The (left, right) selects of X**e's multiplies, e >= 1, by recursion on e // 2.
+
+    X**e is X**(e // 2) squared, then times X when e is odd; the first
+    square reads the two injected copies of X, the others the MUL latch.
+    """
+    if e == 1:
+        return []
+    head = _multiplies(e // 2)
+    pairs = head + [(Source.MUL, Source.MUL) if head else (Source.IN1, Source.IN2)]
+    return pairs + [(Source.MUL, Source.IN1)] * (e % 2)
+
+
 def _fresh_function2(e):
     if e == 0:
         steps = [Step(inject_a=1, emit=Source.IN1)]
     elif e == 1:
         steps = [Step(inject_a="X", emit=Source.IN1)]
     else:
-        steps = [Step(inject_a="X", inject_b="X"), Step(mul_l=Source.IN1, mul_r=Source.IN2)]
-        steps += [Step(mul_l=Source.MUL, mul_r=Source.IN1) for _ in range(e - 2)]
-        steps.append(Step(emit=Source.MUL))
+        *body, (l, r) = _multiplies(e)
+        steps = [Step(inject_a="X", inject_b="X")]
+        steps += [Step(mul_l=bl, mul_r=br) for bl, br in body]
+        steps.append(Step(mul_l=l, mul_r=r, emit=Source.MUL))
     return Microprogram(name="function2", steps=tuple(steps))
 
 
-@pytest.mark.parametrize("e", [*range(41), cli.MAX_EXPONENT])
+@pytest.mark.parametrize("e", [*range(41), cli.MAX_EXPONENT - 1, cli.MAX_EXPONENT])
 def test_shared_step_function2_equals_fresh_build(e):
     prog = builtin_function2(e)
     assert prog == _fresh_function2(e)
-    assert len(prog.steps) == (1 if e < 2 else e + 1)
+    # one inject step, then floor(log2 e) squares and popcount(e) - 1 times X
+    assert len(prog.steps) == (1 if e < 2 else e.bit_length() - 1 + e.bit_count())
     assert parse_program(render_program(prog)) == prog
     assert builtin_function2(e) == prog
     assert prog._placeholders == _fresh_function2(e)._placeholders
@@ -179,6 +195,36 @@ def test_shared_step_function2_equals_fresh_build(e):
     assert prog.__getstate__() == Microprogram("function2", prog.steps).__getstate__()
     if e >= 2:
         assert prog._placeholders is builtin_function2(2)._placeholders
+
+
+_POW_CONTEXTS = [
+    RnsContext(rnskit.find_moduli(rnskit.GenerationRequest(bits, count))[0])
+    for bits, count in ((16, 3), (32, 6), (64, 16), (300, 5))
+]
+
+
+@st.composite
+def _pow_cases(draw):
+    ctx = draw(st.sampled_from(_POW_CONTEXTS))
+    e = draw(st.integers(0, cli.MAX_EXPONENT))
+    return ctx, e, draw(st.integers(0, ctx.moduli_set.dynamic_range - 1))
+
+
+@given(_pow_cases())
+@example((_POW_CONTEXTS[1], cli.MAX_EXPONENT, 7))
+@example((_POW_CONTEXTS[1], cli.MAX_EXPONENT - 1, _POW_CONTEXTS[1].moduli_set.dynamic_range - 1))
+@settings(max_examples=200)
+def test_function2_is_x_to_the_e_in_multiply_only_cycles(case):
+    ctx, e, x = case
+    prog = builtin_function2(e)
+    assert run(ctx, prog, {"X": x})[0] == [pow(x, e, ctx.moduli_set.dynamic_range)]
+    # after the inject step, each cycle runs the multiplier and no other unit
+    for s in prog.steps[1:]:
+        assert s.mul_l is not Source.NONE
+        assert (s.add_l, s.sub_l, s.inject_a, s.inject_b) == (Source.NONE, Source.NONE, None, None)
+    # exactly one step emits, the last
+    emits = [s.emit is not Source.NONE for s in prog.steps]
+    assert emits == [False] * (len(prog.steps) - 1) + [True]
 
 
 def test_shared_function1_equals_fresh_build():
@@ -240,12 +286,15 @@ def test_rendered_text_is_pinned():
         "STEP emit=MUL\n"
         "END\n"
     )
-    assert render_program(builtin_function2(3)) == (
+    # 13 = 0b1101: X * X, times X, square, square, times X with the emit
+    assert render_program(builtin_function2(13)) == (
         "PROG function2\n"
         "STEP a=$X b=$X\n"
         "STEP mul=IN1,IN2\n"
         "STEP mul=MUL,IN1\n"
-        "STEP emit=MUL\n"
+        "STEP mul=MUL,MUL\n"
+        "STEP mul=MUL,MUL\n"
+        "STEP mul=MUL,IN1 emit=MUL\n"
         "END\n"
     )
     every_field = Step(
@@ -255,6 +304,14 @@ def test_rendered_text_is_pinned():
     assert render_program(Microprogram("all", (every_field,))) == (
         "PROG all\nSTEP a=0 b=$Y add=IN1,IN2 sub=ADD,SUB mul=MUL,IN1 emit=SUB\nEND\n"
     )
+
+
+def test_readme_function2_listing_is_the_rendered_schedule():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    # the listing sits in a bullet, indented by two spaces
+    lines = render_program(builtin_function2(13)).splitlines()
+    assert "".join(f"  {line}\n" for line in lines) in readme
+    assert "e + 1 references" not in readme
 
 
 def test_function2_negative_exponent_rejected():

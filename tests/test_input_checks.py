@@ -14,6 +14,7 @@ import pytest
 import rnskit
 from rnskit.datapath import Source, Step, builtin_function1, builtin_function2, run
 from rnskit.moduli import GenerationRequest, ModuliSet, SchemeId, baseline, validate
+from rnskit.numbers import ceil_nth_root, mod_inverse
 from rnskit.rns import RnsContext, RnsNumber, rns_pow, to_rns
 
 CTX = RnsContext(ModuliSet((8, 9, 7)))
@@ -36,6 +37,11 @@ ENTRY_POINTS = {
     "Step.inject_b": (lambda v: Step(inject_b=v, emit=Source.IN2), "b injection", -1),
     "run": (lambda v: run(CTX, builtin_function1(), {"X": 7, "Y": 1, "Z": v}), "b injection", -1),
     "builtin_function2": (builtin_function2, "exponent", -1),
+    "ceil_nth_root.v": (lambda v: ceil_nth_root(v, 2), "v", -1),
+    "ceil_nth_root.n": (lambda v: ceil_nth_root(16, v), "n", -1),
+    "ceil_nth_root.start": (lambda v: ceil_nth_root(16, 2, start=v), "start", -1),
+    "mod_inverse.a": (lambda v: mod_inverse(v, 7), "a", None),
+    "mod_inverse.m": (lambda v: mod_inverse(3, v), "m", -1),
 }
 # a str injection is a placeholder name, so "3" fails the identifier check
 PLACEHOLDERS = {"Step.inject_a": "a placeholder", "Step.inject_b": "b placeholder"}
