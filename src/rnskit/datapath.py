@@ -220,56 +220,54 @@ def run(
 # into a tuple.
 _FUNCTION1 = Microprogram("function1", (
     Step(inject_a="X", inject_b="Y", add_l=Source.IN1, add_r=Source.IN2),
-    Step(inject_b="Z", mul_l=Source.ADD, mul_r=Source.IN2),
-    Step(emit=Source.MUL),
+    Step(inject_b="Z", mul_l=Source.ADD, mul_r=Source.IN2, emit=Source.MUL),
 ))
 _POW_BELOW_2 = (
     Microprogram("function2", (Step(inject_a=1, emit=Source.IN1),)),
     Microprogram("function2", (Step(inject_a="X", emit=Source.IN1),)),
 )
-_POW_INJECT = Step(inject_a="X", inject_b="X")
-# first square, square, times X: each plain and emitting, as emit reads the
-# post-update latch; none injects, so all e >= 2 share _POW_INJECT's record
-_POW_FIRST, _POW_SQUARE, _POW_TIMES_X = (
-    (Step(mul_l=l, mul_r=r), Step(mul_l=l, mul_r=r, emit=_MUL))
-    for l, r in ((_IN1, _IN2), (_MUL, _MUL), (_MUL, _IN1)))
-_POW_PAIRS = Microprogram("function2", (_POW_INJECT,))._placeholders
+# start (inject X, square it), square, times X: each plain and emitting; only
+# the start injects, $X as function2(1) does, so all e >= 1 share its record
+_POW_START, _POW_SQUARE, _POW_TIMES_X = (
+    (Step(inject_a=a, mul_l=l, mul_r=r), Step(inject_a=a, mul_l=l, mul_r=r, emit=_MUL))
+    for a, l, r in (("X", _IN1, _IN1), (None, _MUL, _MUL), (None, _MUL, _IN1)))
 
 
 def builtin_function1() -> Microprogram:
     """(X + Y) * Z: add the first two inputs, scale by the third, emit.
 
     Step 1 injects X and Y and routes both input latches to the adder;
-    step 2 reuses the second converter for Z and routes the adder latch
-    and Z to the multiplier; step 3 emits the multiplier latch.  Every
-    call returns the one immutable program built at import.
+    step 2 reuses the second converter for Z, routes the adder latch and Z
+    to the multiplier and emits its post-update latch.  Every call returns
+    the one immutable program built at import.
     """
     return _FUNCTION1
 
 
 def builtin_function2(e: int) -> Microprogram:
-    """X ** e by left-to-right square-and-multiply, in floor(log2 e) + popcount(e) cycles.
+    """X ** e by left-to-right square-and-multiply, in floor(log2 e) + popcount(e) - 1 cycles.
 
-    e == 0 emits an injected constant 1 and e == 1 emits X directly.  Else X
-    is injected into both converters, and each bit of e below the leading one
-    squares the multiplier latch (the first square is IN1 * IN2) and, if set,
-    multiplies it by X; the last multiply emits.  So e = 0b1101 runs inject,
-    X * X, * X, square, square, * X with emit.  e is an int >= 0, not a bool;
-    e < 2 returns a shared program, e >= 2 one tuple of shared steps.
+    e == 0 emits an injected 1 and e == 1 emits X.  Else one step injects X
+    and squares IN1; each later bit of e below the leading one squares the
+    multiplier latch, each set bit then multiplies it by X, and the last
+    step emits: e = 0b1101 runs inject X * X, * X, square, square, * X with
+    emit.  e is an int >= 0, not a bool; e < 2 returns a shared program,
+    e >= 2 one tuple of shared steps, all reading X through one converter.
     """
     check_int("exponent", e)
     if e < 0:
         raise ValueError(f"exponent must be >= 0, got {e}")
     if e < 2:
         return _POW_BELOW_2[e]
-    steps, square = [_POW_INJECT], _POW_FIRST
-    for bit in bin(e)[3:]:
-        steps += (square[0], _POW_TIMES_X[0]) if bit == "1" else (square[0],)
-        square = _POW_SQUARE
-    # an odd e ends on times X, an even one on its only or its last square
-    steps[-1] = (_POW_TIMES_X if e & 1 else _POW_FIRST if e == 2 else _POW_SQUARE)[1]
+    # a bit below the leading one is a square "0", then if set a times X "x";
+    # the first square is the start's, and each step is appended one late
+    steps, last = [], _POW_START
+    for code in bin(e)[3:].replace("1", "0x")[1:]:
+        steps.append(last[0])
+        last = _POW_TIMES_X if code == "x" else _POW_SQUARE
+    steps.append(last[1])
     prog = object.__new__(Microprogram)
-    prog.__setstate__(("function2", tuple(steps), _POW_PAIRS))
+    prog.__setstate__(("function2", tuple(steps), _POW_BELOW_2[1]._placeholders))
     return prog
 
 

@@ -39,10 +39,14 @@ cases = [
     ("function1", rnskit.builtin_function1()),
     ("function2(0)", rnskit.builtin_function2(0)),
     ("function2(1)", rnskit.builtin_function2(1)),
+    # the start step's emitting twin: inject, square and emit in one cycle
+    ("function2(2)", rnskit.builtin_function2(2)),
+    # the start step, then times X with the emit
+    ("function2(3)", rnskit.builtin_function2(3)),
     ("function2(5)", rnskit.builtin_function2(5)),
     # the benchmark's largest exponent, on the program built without a step scan
     ("function2(32)", rnskit.builtin_function2(32)),
-    # all ones: the first square, then square and times X pairs
+    # all ones: the start and times X, then square and times X pairs
     ("function2(31)", rnskit.builtin_function2(31)),
     # the CLI's largest exponent: squares only
     ("function2(4096)", rnskit.builtin_function2(4096)),
@@ -136,8 +140,8 @@ def test_traced_counts_match_program_fields():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     programs = [
-        "function1", "function2(0)", "function2(1)", "function2(5)", "function2(32)",
-        "function2(31)", "function2(4096)", "cross",
+        "function1", "function2(0)", "function2(1)", "function2(2)", "function2(3)",
+        "function2(5)", "function2(32)", "function2(31)", "function2(4096)", "cross",
     ]
     assert [name for name, _, _ in report] == [
         f"{ctx} {prog}" for ctx in ("narrow", "wide") for prog in programs

@@ -569,9 +569,9 @@ def test_run_trace_goes_to_stderr(capsys):
     assert "IN1=(7,7,0)" in err
 
 
-@pytest.mark.parametrize("x,e,output,steps", [("3", 4096, 81, 13), ("5", 4095, 125, 23)])
+@pytest.mark.parametrize("x,e,output,steps", [("3", 4096, 81, 12), ("5", 4095, 125, 22)])
 def test_run_function2_traces_one_line_per_cycle(capsys, x, e, output, steps):
-    # floor(log2 E) + popcount(E) cycles, as README states
+    # floor(log2 E) + popcount(E) - 1 cycles, as README states
     run2 = ("run", "--builtin", "function2", "--moduli", "8,9,7", "--trace")
     code, out, err = invoke(capsys, *run2, "--bind", f"X={x},E={e}")
     assert (code, out) == (0, f"{output}\n")

@@ -107,8 +107,8 @@ def test_run_is_the_only_public_entry_point(monkeypatch):
     monkeypatch.setattr(datapath, "step", counted)
     outputs, _ = run(CTX, builtin_function2(5), {"X": 2})
     assert outputs == [32]
-    # 5 = 0b101: inject, X * X, square, times X with the emit
-    assert indices == list(range(4))
+    # 5 = 0b101: inject X * X, square, times X with the emit
+    assert indices == list(range(3))
 
 
 # --- program runs ------------------------------------------------------------------
@@ -117,7 +117,7 @@ def test_run_is_the_only_public_entry_point(monkeypatch):
 def test_function1_basic():
     outputs, trace = run(CTX, builtin_function1(), {"X": 7, "Y": 5, "Z": 3})
     assert outputs == [36]
-    assert len(trace) == 3
+    assert len(trace) == 2
 
 
 def test_function1_zero_annihilates():
@@ -150,8 +150,7 @@ def _fresh_function1():
         name="function1",
         steps=(
             Step(inject_a="X", inject_b="Y", add_l=Source.IN1, add_r=Source.IN2),
-            Step(inject_b="Z", mul_l=Source.ADD, mul_r=Source.IN2),
-            Step(emit=Source.MUL),
+            Step(inject_b="Z", mul_l=Source.ADD, mul_r=Source.IN2, emit=Source.MUL),
         ),
     )
 
@@ -160,25 +159,29 @@ def _multiplies(e):
     """The (left, right) selects of X**e's multiplies, e >= 1, by recursion on e // 2.
 
     X**e is X**(e // 2) squared, then times X when e is odd; the first
-    square reads the two injected copies of X, the others the MUL latch.
+    square reads the injected X twice from IN1, the others the MUL latch.
     """
     if e == 1:
         return []
     head = _multiplies(e // 2)
-    pairs = head + [(Source.MUL, Source.MUL) if head else (Source.IN1, Source.IN2)]
+    pairs = head + [(Source.MUL, Source.MUL) if head else (Source.IN1, Source.IN1)]
     return pairs + [(Source.MUL, Source.IN1)] * (e % 2)
 
 
 def _fresh_function2(e):
     if e == 0:
-        steps = [Step(inject_a=1, emit=Source.IN1)]
-    elif e == 1:
-        steps = [Step(inject_a="X", emit=Source.IN1)]
-    else:
-        *body, (l, r) = _multiplies(e)
-        steps = [Step(inject_a="X", inject_b="X")]
-        steps += [Step(mul_l=bl, mul_r=br) for bl, br in body]
-        steps.append(Step(mul_l=l, mul_r=r, emit=Source.MUL))
+        return Microprogram(name="function2", steps=(Step(inject_a=1, emit=Source.IN1),))
+    if e == 1:
+        return Microprogram(name="function2", steps=(Step(inject_a="X", emit=Source.IN1),))
+    # X is injected in the first multiply's cycle, and the last multiply emits
+    pairs = _multiplies(e)
+    steps = [
+        Step(
+            inject_a="X" if i == 0 else None, mul_l=l, mul_r=r,
+            emit=Source.MUL if i == len(pairs) - 1 else Source.NONE,
+        )
+        for i, (l, r) in enumerate(pairs)
+    ]
     return Microprogram(name="function2", steps=tuple(steps))
 
 
@@ -186,15 +189,15 @@ def _fresh_function2(e):
 def test_shared_step_function2_equals_fresh_build(e):
     prog = builtin_function2(e)
     assert prog == _fresh_function2(e)
-    # one inject step, then floor(log2 e) squares and popcount(e) - 1 times X
-    assert len(prog.steps) == (1 if e < 2 else e.bit_length() - 1 + e.bit_count())
+    # floor(log2 e) squares, the first in the inject cycle, and popcount(e) - 1 times X
+    assert len(prog.steps) == (1 if e < 2 else e.bit_length() - 2 + e.bit_count())
     assert parse_program(render_program(prog)) == prog
     assert builtin_function2(e) == prog
     assert prog._placeholders == _fresh_function2(e)._placeholders
     # every slot, the placeholder record included, as the constructor sets it
     assert prog.__getstate__() == Microprogram("function2", prog.steps).__getstate__()
-    if e >= 2:
-        assert prog._placeholders is builtin_function2(2)._placeholders
+    if e >= 1:
+        assert prog._placeholders is builtin_function2(1)._placeholders
 
 
 _POW_CONTEXTS = [
@@ -225,6 +228,40 @@ def test_function2_is_x_to_the_e_in_multiply_only_cycles(case):
     # exactly one step emits, the last
     emits = [s.emit is not Source.NONE for s in prog.steps]
     assert emits == [False] * (len(prog.steps) - 1) + [True]
+
+
+def _is_idle(s):
+    return s.emit is Source.NONE and Source.NONE is s.add_l is s.sub_l is s.mul_l
+
+
+@given(st.one_of(st.none(), st.integers(0, cli.MAX_EXPONENT)))
+@example(None)
+@example(0)
+@example(1)
+@example(2)
+@example(cli.MAX_EXPONENT)
+@settings(max_examples=200)
+def test_builtin_steps_all_work_and_only_the_last_emits(e):
+    # None stands for function1
+    prog = builtin_function1() if e is None else builtin_function2(e)
+    # an injection alone is an idle cycle: it could share the next step's
+    assert not any(_is_idle(s) for s in prog.steps)
+    emits = [s.emit is not Source.NONE for s in prog.steps]
+    assert emits == [False] * (len(prog.steps) - 1) + [True]
+    if e is not None and e >= 1:
+        # X goes through the first converter once, and nothing else is injected
+        assert [s.inject_a for s in prog.steps if s.inject_a is not None] == ["X"]
+        assert all(s.inject_b is None for s in prog.steps)
+        assert prog._placeholders is builtin_function2(1)._placeholders
+
+
+def test_readme_scale_sum_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = readme.split("## Program text format\n\n```\n", 1)[1].split("```", 1)[0]
+    prog = parse_program(text)
+    assert prog.name == "scale-sum"
+    assert not any(_is_idle(s) for s in prog.steps)
+    assert run(CTX, prog, {"X": 7, "Y": 5, "Z": 3})[0] == [36]
 
 
 def test_shared_function1_equals_fresh_build():
@@ -282,15 +319,13 @@ def test_rendered_text_is_pinned():
     assert render_program(builtin_function1()) == (
         "PROG function1\n"
         "STEP a=$X b=$Y add=IN1,IN2\n"
-        "STEP b=$Z mul=ADD,IN2\n"
-        "STEP emit=MUL\n"
+        "STEP b=$Z mul=ADD,IN2 emit=MUL\n"
         "END\n"
     )
-    # 13 = 0b1101: X * X, times X, square, square, times X with the emit
+    # 13 = 0b1101: inject X * X, times X, square, square, times X with the emit
     assert render_program(builtin_function2(13)) == (
         "PROG function2\n"
-        "STEP a=$X b=$X\n"
-        "STEP mul=IN1,IN2\n"
+        "STEP a=$X mul=IN1,IN1\n"
         "STEP mul=MUL,IN1\n"
         "STEP mul=MUL,MUL\n"
         "STEP mul=MUL,MUL\n"

@@ -110,9 +110,7 @@ REPRS = {
         f"{_NONE4}, emit=<Source.NONE: 'NONE'>), "
         "Step(inject_a=None, inject_b='Z', add_l=<Source.NONE: 'NONE'>, add_r=<Source.NONE: 'NONE'>, "
         "sub_l=<Source.NONE: 'NONE'>, sub_r=<Source.NONE: 'NONE'>, mul_l=<Source.ADD: 'ADD'>, "
-        "mul_r=<Source.IN2: 'IN2'>, emit=<Source.NONE: 'NONE'>), "
-        "Step(inject_a=None, inject_b=None, add_l=<Source.NONE: 'NONE'>, add_r=<Source.NONE: 'NONE'>, "
-        f"{_NONE4}, emit=<Source.MUL: 'MUL'>)))"
+        "mul_r=<Source.IN2: 'IN2'>, emit=<Source.MUL: 'MUL'>)))"
     ),
     ComparisonRow: (
         "ComparisonRow(bits=16, scheme=SchemeId(family='proposed', cardinality=3), "
