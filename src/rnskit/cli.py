@@ -40,14 +40,16 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_RUN_FAULT = 3
 
-# Input limits: gen/compare --bits, run's function2 exponent E, and the length
+# Input limits: gen/compare --bits, run's function2 exponent E, the length
 # (also gen --count, so every set gen prints is accepted back) and dynamic-range
-# width of a --moduli list; every integer below a range of MAX_RANGE_BITS prints
-# within int()'s default 4300-digit limit.
+# width of a --moduli list, and the characters of a run --program file; every
+# integer below a range of MAX_RANGE_BITS prints within int()'s default
+# 4300-digit limit.
 MAX_BITS = 8192
 MAX_EXPONENT = 4096
 MAX_MODULI = 64
 MAX_RANGE_BITS = 12288
+MAX_PROGRAM_CHARS = 65536
 
 
 class _UsageError(Exception):
@@ -188,10 +190,12 @@ def cmd_run(args) -> int:
         prog = builtin_function2(_at_most(bindings.pop("E"), MAX_EXPONENT, "exponent E"))
     else:
         try:
+            # one character past the limit is enough to tell a file is over it
             with open(args.program, encoding="utf-8") as file:
-                text = file.read()
+                text = file.read(MAX_PROGRAM_CHARS + 1)
         except UnicodeDecodeError as exc:
             raise _UsageError(f"{args.program}: {exc}") from None
+        _at_most(len(text), MAX_PROGRAM_CHARS, f"characters read from {args.program}")
         prog = parse_program(text)
     ctx = _context(args.moduli)
     outputs, trace = run(ctx, prog, bindings)

@@ -13,6 +13,7 @@ the sum of the moduli's binary bit-lengths, and lower is better.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import gcd, prod
 
 from ._record import Record
@@ -244,9 +245,11 @@ def find_moduli(req: GenerationRequest) -> tuple[ModuliSet, GenerationTrace]:
 def baseline(scheme: SchemeId, bits: int) -> ModuliSet:
     """Smallest member of a power-of-two baseline family covering 2**bits - 1.
 
-    bits is an int >= 2, not a bool.  Finds the smallest family parameter
-    n whose member has all moduli >= 2 and a product reaching the target,
-    by doubling n until a member covers, then bisecting the last doubling.
+    bits is an int >= 2, not a bool.  Bisects for the smallest family
+    parameter n whose member has all moduli >= 2 and a product reaching the
+    target.  n lies in [1, bits + 1]: at n = bits every member's product
+    reaches the target, and only sm2's third modulus 2**(n-1) - 1 can still
+    be below 2, which at bits = 2 takes n = 3 = bits + 1.
     """
     if scheme.family not in BASELINE_FAMILIES:
         raise ValueError(f"baseline requires one of {tuple(BASELINE_FAMILIES)}, got {scheme.label}")
@@ -260,17 +263,8 @@ def baseline(scheme: SchemeId, bits: int) -> ModuliSet:
         ms = member(1 << n)
         return min(ms) >= 2 and prod(ms) >= target
 
-    hi = 1
-    while not covers(hi):
-        hi *= 2
-    lo = hi // 2 + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if covers(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return ModuliSet(member(1 << hi))
+    n = bisect_left(range(bits + 2), True, lo=1, key=covers)
+    return ModuliSet(member(1 << n))
 
 
 def bit_cost(moduli_set: ModuliSet) -> int:

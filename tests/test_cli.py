@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rnskit.cli import _build_parser, main
+from rnskit.cli import MAX_PROGRAM_CHARS, _build_parser, main
 from rnskit.moduli import SchemeId
 from rnskit.tables import comparison_rows, rows_from_csv, rows_to_csv, rows_to_markdown
 
@@ -670,6 +670,36 @@ def test_limits_at_and_past_the_bound(capsys, argv, expected):
     assert code == expected, err
     if expected == 2:
         assert "over the limit" in err
+
+
+def _program_of_length(length: int, tail: str = "") -> bytes:
+    # a doubling program padded by a comment line to length characters,
+    # the last len(tail) of them tail
+    head, body = "PROG double\n", "STEP a=$V b=$V add=IN1,IN2 emit=ADD\nEND\n" + tail
+    pad = length - len(head) - len(body) - 1
+    return (head + "#" * pad + "\n" + body).encode()
+
+
+def test_program_file_at_the_limit_is_read_in_full(capsys, tmp_path):
+    path = tmp_path / "prog.txt"
+    path.write_bytes(_program_of_length(MAX_PROGRAM_CHARS))
+    assert path.stat().st_size == MAX_PROGRAM_CHARS
+    argv = ("run", "--program", str(path), "--moduli", "8,9,7", "--bind", "V=21")
+    assert invoke(capsys, *argv) == (0, "42\n", "")
+
+
+def test_program_file_over_the_limit_exits_2_before_parsing(capsys, tmp_path):
+    # the character past the limit would also be a parse error after END
+    path = tmp_path / "prog.txt"
+    path.write_bytes(_program_of_length(MAX_PROGRAM_CHARS + 1, tail="X"))
+    code, out, err = invoke(
+        capsys, "run", "--program", str(path), "--moduli", "8,9,7", "--bind", "V=21",
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"rnskit: validation error: characters read from {path} "
+        f"{MAX_PROGRAM_CHARS + 1} is over the limit of {MAX_PROGRAM_CHARS}\n"
+    )
 
 
 def test_widest_range_prints_every_value(capsys):
