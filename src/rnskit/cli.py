@@ -80,11 +80,15 @@ def _at_most(value: int, limit: int, what: str) -> int:
     return value
 
 
-def _int_list(text: str, what: str) -> list[int]:
+def _items(text: str, what: str) -> list[str]:
     items = [part for part in text.split(",") if part]
     if not items:
         raise _UsageError(f"empty {what} list")
-    return [_decimal(part, what) for part in items]
+    return items
+
+
+def _int_list(text: str, what: str) -> list[int]:
+    return [_decimal(part, what) for part in _items(text, what)]
 
 
 def _bindings(parts: list[str]) -> dict[str, int]:
@@ -119,9 +123,7 @@ def cmd_gen(args) -> int:
 def cmd_compare(args) -> int:
     bits_list = [_at_most(bits, MAX_BITS, "bits") for bits in _int_list(args.bits, "bits")]
     schemes = []
-    for label in args.schemes.split(","):
-        if not label:
-            continue
+    for label in _items(args.schemes, "schemes"):
         try:
             scheme = SchemeId.parse(label)
         except ValueError as exc:
@@ -129,8 +131,6 @@ def cmd_compare(args) -> int:
         if scheme.family == "proposed" and scheme.cardinality > 6:
             raise _UsageError(f"unknown scheme {label!r}")
         schemes.append(scheme)
-    if not schemes:
-        raise _UsageError("empty schemes list")
     rows = comparison_rows(bits_list, schemes)
     if args.format == "csv":
         sys.stdout.write(rows_to_csv(rows))
@@ -191,7 +191,7 @@ def cmd_run(args) -> int:
     else:
         try:
             # one character past the limit is enough to tell a file is over it
-            with open(args.program, encoding="utf-8") as file:
+            with open(args.program, encoding="utf-8-sig") as file:
                 text = file.read(MAX_PROGRAM_CHARS + 1)
         except UnicodeDecodeError as exc:
             raise _UsageError(f"{args.program}: {exc}") from None

@@ -153,14 +153,10 @@ class Microprogram(Record):
 
 def step(
     ctx: RnsContext, latches: dict[Source, RnsNumber], outputs: list[int],
-    bindings: dict[str, int], s: Step, index: int,
+    bindings: dict[str, int], s: Step,
 ) -> None:
-    """Execute step `index` of a run in place: run's per-cycle helper.
-
-    Order inside the step: injections overwrite IN1/IN2 (placeholders are
-    read from bindings, which run has checked), active units read the
-    post-injection latches, all unit results latch at once, and the emit
-    select (post-update) appends one reverse-converted output.
+    """Run's per-cycle kernel: one step in place, in the module docstring's
+    order, on bindings run has checked; an unwritten latch read raises KeyError(source).
     """
     a, b = s.inject_a, s.inject_b
     if a is not None:
@@ -170,20 +166,17 @@ def step(
 
     # every unit reads before any result latches, so one step's units
     # see the previous step's ADD/SUB/MUL, never each other's new ones
-    try:
-        add = None if s.add_l is _NONE else rns_add(ctx, latches[s.add_l], latches[s.add_r])
-        sub = None if s.sub_l is _NONE else rns_sub(ctx, latches[s.sub_l], latches[s.sub_r])
-        mul = None if s.mul_l is _NONE else rns_mul(ctx, latches[s.mul_l], latches[s.mul_r])
-        if add is not None:
-            latches[_ADD] = add
-        if sub is not None:
-            latches[_SUB] = sub
-        if mul is not None:
-            latches[_MUL] = mul
-        if s.emit is not _NONE:
-            outputs.append(from_rns(ctx, latches[s.emit]))
-    except KeyError as exc:
-        raise RunFault(index, exc.args[0]) from None
+    add = None if s.add_l is _NONE else rns_add(ctx, latches[s.add_l], latches[s.add_r])
+    sub = None if s.sub_l is _NONE else rns_sub(ctx, latches[s.sub_l], latches[s.sub_r])
+    mul = None if s.mul_l is _NONE else rns_mul(ctx, latches[s.mul_l], latches[s.mul_r])
+    if add is not None:
+        latches[_ADD] = add
+    if sub is not None:
+        latches[_SUB] = sub
+    if mul is not None:
+        latches[_MUL] = mul
+    if s.emit is not _NONE:
+        outputs.append(from_rns(ctx, latches[s.emit]))
 
 
 def run(
@@ -206,9 +199,12 @@ def run(
     latches: dict[Source, RnsNumber] = {}
     outputs: list[int] = []
     trace: list[dict[Source, RnsNumber]] = []
-    for i, s in enumerate(prog.steps):
-        step(ctx, latches, outputs, bindings, s, i)
-        trace.append(latches.copy())
+    try:
+        for i, s in enumerate(prog.steps):
+            step(ctx, latches, outputs, bindings, s)
+            trace.append(latches.copy())
+    except KeyError as exc:
+        raise RunFault(i, exc.args[0]) from None
     return outputs, trace
 
 
@@ -383,7 +379,10 @@ def _render_value(value) -> str:
 
 
 def render_program(prog: Microprogram) -> str:
-    """Render a program to the text format; parse(render(p)) == p."""
+    """Render a program to the text format; parse(render(p)) == p.
+
+    A literal injection over 4300 digits, which parse rejects, raises int-to-str's ValueError.
+    """
     lines = [f"PROG {prog.name}"]
     for s in prog.steps:
         parts = ["STEP"]

@@ -557,6 +557,32 @@ def test_run_program_not_utf8_exits_1(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_run_program_after_a_utf8_byte_order_mark(capsys, tmp_path):
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    text = readme.split("## Program text format\n\n```\n", 1)[1].split("```", 1)[0]
+    assert text.startswith("PROG scale-sum\n")
+    path = tmp_path / "scale-sum.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    argv = ("run", "--program", str(path), "--moduli", "8,9,7", "--bind", "X=7,Y=5,Z=3")
+    assert invoke(capsys, *argv) == (0, "36\n", "")
+
+
+def test_run_fault_prints_no_outputs_and_no_trace(capsys, tmp_path):
+    path = tmp_path / "fault.txt"
+    path.write_text("PROG p\nSTEP a=5 emit=IN1\nSTEP add=ADD,IN1\nEND\n")
+    argv = ("run", "--program", str(path), "--moduli", "8,9,7", "--trace")
+    assert invoke(capsys, *argv) == (
+        3, "", "rnskit: run fault: step 1: read of undefined latch ADD\n")
+
+
+@pytest.mark.parametrize(
+    "schemes,message", [(",,", "empty schemes list"), ("sm9,,", "unknown scheme 'sm9'")]
+)
+def test_compare_scheme_list_errors_exit_1(capsys, schemes, message):
+    expected = (1, "", f"rnskit: error: {message}\n")
+    assert invoke(capsys, "compare", "--bits", "16", "--schemes", schemes) == expected
+
+
 def test_run_trace_goes_to_stderr(capsys):
     code, out, err = invoke(
         capsys,

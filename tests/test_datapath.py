@@ -96,19 +96,33 @@ def test_run_is_the_only_public_entry_point(monkeypatch):
     assert "step" not in rnskit.__all__
     assert "DatapathState" not in rnskit.__all__
     assert not hasattr(datapath, "DatapathState")
-    # run calls the module's step once per cycle, with the cycle's index
-    indices = []
+    # run calls the module's step once per cycle, in step order
+    seen = []
     inner = datapath.step
 
-    def counted(ctx, latches, outputs, bindings, s, index):
-        indices.append(index)
-        inner(ctx, latches, outputs, bindings, s, index)
+    def counted(ctx, latches, outputs, bindings, s):
+        seen.append(s)
+        inner(ctx, latches, outputs, bindings, s)
 
     monkeypatch.setattr(datapath, "step", counted)
-    outputs, _ = run(CTX, builtin_function2(5), {"X": 2})
+    prog = builtin_function2(5)
+    outputs, _ = run(CTX, prog, {"X": 2})
     assert outputs == [32]
     # 5 = 0b101: inject X * X, square, times X with the emit
-    assert indices == list(range(3))
+    assert seen == list(prog.steps) and len(seen) == 3
+
+
+def test_step_read_of_unwritten_latch_raises_key_error_and_latches_no_result():
+    # the kernel's contract with run: the missing Source as a KeyError,
+    # raised after the injections and before any unit result latches
+    latches, outputs = {}, []
+    s = Step(inject_a=3, mul_l=Source.IN1, mul_r=Source.IN1, add_l=Source.IN1, add_r=Source.IN2,
+             emit=Source.IN1)
+    with pytest.raises(KeyError) as exc:
+        datapath.step(CTX, latches, outputs, {}, s)
+    assert exc.value.args == (Source.IN2,)
+    assert latches == {Source.IN1: to_rns(CTX, 3)}
+    assert outputs == []
 
 
 # --- program runs ------------------------------------------------------------------
@@ -262,6 +276,17 @@ def test_readme_scale_sum_example_runs():
     assert prog.name == "scale-sum"
     assert not any(_is_idle(s) for s in prog.steps)
     assert run(CTX, prog, {"X": 7, "Y": 5, "Z": 3})[0] == [36]
+
+
+def test_render_of_a_literal_past_int_str_limit_raises_value_error():
+    # Step takes any unsigned literal; text of 4300 digits round-trips, but
+    # one digit more is past int-to-str's limit, and parse rejects it too
+    at_limit = Microprogram("big", (Step(inject_a=10**4300 - 1, emit=Source.IN1),))
+    assert parse_program(render_program(at_limit)) == at_limit
+    with pytest.raises(ValueError):
+        render_program(Microprogram("big", (Step(inject_a=10**4300, emit=Source.IN1),)))
+    with pytest.raises(ProgramParseError, match="bad unsigned decimal"):
+        parse_program(f"PROG big\nSTEP a=1{'0' * 4300} emit=IN1\nEND\n")
 
 
 def test_shared_function1_equals_fresh_build():
