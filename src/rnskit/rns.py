@@ -12,9 +12,9 @@ moduli costs less than dividing the wide x by every narrow modulus.  A
 set no wider than _LEAF_BITS is one leaf, reduced flat: x mod M, then x
 mod each modulus.
 
-Reverse conversion is the classic weighted sum with one precomputed
-coefficient per channel, M_i * y_i where M_i = M / m_i and
-y_i = M_i^-1 mod m_i.
+Reverse conversion is the weighted sum x = sum(r_i * c_i) mod M, split at
+the tree's root: on a split set x = (P_R * S_L + P_L * S_R) mod M from the
+halves' products P and sums S, over half-width c_i (see RnsContext).
 """
 
 from __future__ import annotations
@@ -73,10 +73,12 @@ def _remainders(x: int, node: tuple) -> tuple[int, ...]:
 class RnsContext(Record):
     """A validated moduli set plus its per-channel CRT coefficients.
 
-    crt_coeffs[i] is M_i * y_i: 1 modulo the i-th modulus and 0 modulo
-    every other one.  The remainder tree that to_rns walks is built here
-    too; both derive from the set and are left out of equality and repr.
-    Immutable after construction; safe to share across threads.
+    crt_coeffs[i] is M_i * y_i (M_i = M / m_i, y_i = M_i^-1 mod m_i) on a
+    one-leaf set: 1 modulo m_i and 0 modulo every other modulus.  On a split
+    set it is (P_h / m_i) * y_i, P_h the product of m_i's half; times the
+    other half's product it is M_i * y_i.  The remainder tree that to_rns
+    walks is built here too; both derive from the set and are left out of
+    equality and repr.  Immutable after construction; thread-safe.
     """
 
     FIELDS = ("moduli_set",)
@@ -94,16 +96,19 @@ class RnsContext(Record):
         for m in ms:
             if m < 2:
                 raise RnsError(f"modulus {m} < 2")
-        total = moduli_set.dynamic_range
+        tree = _remainder_tree(ms, moduli_set.dynamic_range)
+        # a leaf is one half, and the other half is empty, with product 1
+        left, right = tree[2] or (tree, (1, (), ()))
         coeffs = []
-        for m in ms:
-            partial = total // m
-            try:
-                coeffs.append(partial * mod_inverse(partial % m, m))
-            except NotCoprimeError:
-                a, b = structural_faults(ms)[1][0]
-                raise RnsError(f"moduli {a} and {b} are not coprime (gcd = {gcd(a, b)})") from None
-        self.__setstate__((moduli_set, tuple(coeffs), _remainder_tree(ms, total)))
+        try:
+            for (part, hms, _), (other, _, _) in ((left, right), (right, left)):
+                for m in hms:
+                    partial = part // m
+                    coeffs.append(partial * mod_inverse(partial % m * (other % m), m))
+        except NotCoprimeError:
+            a, b = structural_faults(ms)[1][0]
+            raise RnsError(f"moduli {a} and {b} are not coprime (gcd = {gcd(a, b)})") from None
+        self.__setstate__((moduli_set, tuple(coeffs), tree))
 
 
 class RnsNumber(Record):
@@ -168,7 +173,12 @@ def from_rns(ctx: RnsContext, value: RnsNumber) -> int:
     """Recover the unique integer in [0, M) with the given residues."""
     if value.moduli_set is not ctx.moduli_set:
         _check_operand(ctx, value)
-    return sum(map(mul, value.residues, ctx.crt_coeffs)) % ctx.moduli_set.dynamic_range
+    total, _, halves = ctx._tree
+    if not halves:
+        return sum(map(mul, value.residues, ctx.crt_coeffs)) % total
+    (p_l, lms, _), (p_r, _, _) = halves
+    r, c, k = value.residues, ctx.crt_coeffs, len(lms)
+    return (p_r * sum(map(mul, r[:k], c)) + p_l * sum(map(mul, r[k:], c[k:]))) % total
 
 
 def rns_add(ctx: RnsContext, a: RnsNumber, b: RnsNumber) -> RnsNumber:

@@ -1,6 +1,7 @@
 import random
 import re
 from dataclasses import dataclass, field
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -1031,6 +1032,41 @@ def test_fir_program_without_the_sub_zero_faults_on_add(taps):
         run(FIR_SETS["narrow"], parse_program(_fir_text(taps, zero="ADD")),
             {f"{p}{k}": 1 for p in "XH" for k in range(taps)})
     assert (exc.value.step_index, exc.value.source) == (1, Source.ADD)
+
+
+def _run_fir4(tmp_path, capsys, moduli, xs, hs):
+    path = tmp_path / "fir4.txt"
+    path.write_text(_fir_text(4))
+    code = cli.main([
+        "run", "--program", str(path), "--moduli", ",".join(map(str, moduli)),
+        "--bind", ",".join(f"X{k}={x}" for k, x in enumerate(xs)),
+        "--bind", ",".join(f"H{k}={h}" for k, h in enumerate(hs)),
+    ])
+    out = capsys.readouterr()
+    assert (code, out.err) == (0, "")
+    return int(out.out)
+
+
+@pytest.mark.parametrize("bits,moduli,printed", [
+    (26, (22, 23, 21, 19, 25, 17), 67076100),  # M = 85804950 > 4 * 4095**2: exact
+    (25, (18, 19, 17, 23, 25, 11), 30302550),  # M = 36773550: 4 * 4095**2 mod M, unwarned
+])
+def test_fir4_all_4095_corner_is_exact_only_below_m(tmp_path, capsys, bits, moduli, printed):
+    assert rnskit.find_moduli(rnskit.GenerationRequest(bits, 6))[0].moduli == moduli
+    assert _run_fir4(tmp_path, capsys, moduli, [4095] * 4, [4095] * 4) == printed
+    assert printed == 4 * 4095**2 % prod(moduli)
+
+
+def test_readme_fir4_signed_reading(tmp_path, capsys):
+    # README: inject -h as M - h, read an output v >= ceil(M/2) as v - M
+    moduli = (42, 43, 41, 47, 37, 53)
+    total = prod(moduli)
+    hs = [3, total - 5, 7, total - 11]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert f"--bind H0=3,H1={hs[1]},H2=7,H3={hs[3]}" in readme and f"M = {total}" in readme
+    out = _run_fir4(tmp_path, capsys, moduli, [1000, 2000, 3000, 4000], hs)
+    assert out == 6824567682 and out >= -(-total // 2)
+    assert out - total == 3 * 1000 - 5 * 2000 + 7 * 3000 - 11 * 4000 == -30000
 
 
 def test_readme_fir4_example_runs(tmp_path, capsys):

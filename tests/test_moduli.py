@@ -427,6 +427,24 @@ def test_triple_cost_never_worse_than_power_of_two_family():
         assert bit_cost(ours) <= bit_cost(baseline(sm1, bits)), bits
 
 
+def test_triple_cost_against_every_baseline_family_at_widths_4_to_1024():
+    # README's numbers: (cheaper, tied, dearer) widths per family, and where
+    # proposed3 loses to sm3, by how many bits
+    tally = {family: [0, 0, 0] for family in ("sm1", "sm2", "sm3")}
+    dearer = {}
+    for bits in range(4, 1025):
+        ours = bit_cost(gen(bits, 3)[0])
+        for family, counts in tally.items():
+            diff = ours - bit_cost(baseline(SchemeId.parse(family), bits))
+            counts[(diff > 0) - (diff < 0) + 1] += 1
+            if diff > 0:
+                dearer[family, bits] = diff
+    assert tally == {"sm1": [1018, 3, 0], "sm2": [341, 680, 0], "sm3": [765, 170, 86]}
+    assert dearer == {("sm3", bits): 1 for bits in [8, *range(12, 1025, 12)]}
+    assert baseline(SchemeId.parse("sm3"), 12).moduli == (65, 9, 7)
+    assert gen(12, 3)[0].moduli == (18, 19, 17)
+
+
 @given(bits=st.integers(min_value=4, max_value=64))
 @settings(max_examples=64)
 def test_consecutive_triple_pairwise_coprime(bits):

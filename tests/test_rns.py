@@ -1,4 +1,5 @@
 import random
+from functools import cache
 from math import prod
 
 import pytest
@@ -144,6 +145,51 @@ def test_reverse_zero():
 
 def test_reverse_maximal_residues():
     assert from_rns(CTX, RnsNumber((7, 8, 6), CTX.moduli_set)) == 503
+
+
+@cache
+def wide_context(moduli):
+    return RnsContext(ModuliSet(moduli))
+
+
+@cache
+def flat_weights(moduli):
+    """Test-side CRT weights M_i * (M_i^-1 mod m_i), the classic flat sum's."""
+    total = prod(moduli)
+    return tuple(total // m * pow(total // m, -1, m) for m in moduli)
+
+
+@pytest.mark.parametrize("moduli", WIDE_SETS + LEAF_EDGE_SETS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_reverse_wide_sets_equal_the_flat_weighted_sum(moduli, data):
+    ctx = wide_context(moduli)
+    total = ctx.moduli_set.dynamic_range
+    # from_rns sums flat on one leaf and splits at the root past it
+    assert bool(ctx._tree[2]) == (total.bit_length() > _LEAF_BITS)
+    residues = data.draw(st.tuples(*(st.integers(0, m - 1) for m in moduli)), label="residues")
+    flat = sum(r * w for r, w in zip(residues, flat_weights(moduli))) % total
+    assert from_rns(ctx, RnsNumber(residues, ctx.moduli_set)) == flat
+    x = data.draw(st.integers(0, total - 1), label="x")
+    assert from_rns(ctx, to_rns(ctx, x)) == x
+
+
+@pytest.mark.parametrize("moduli", WIDE_SETS + LEAF_EDGE_SETS)
+def test_crt_law_on_split_and_leaf_contexts(moduli):
+    ctx = wide_context(moduli)
+    total, _, halves = ctx._tree
+    # from_rns weights a left-half coefficient by the right half's product and
+    # a right-half one by the left's; a one-leaf set weights each by 1
+    (left, left_moduli, _), (right, _, _) = halves or ((1, moduli, ()), (1, (), ()))
+    weights = [right] * len(left_moduli) + [left] * (len(moduli) - len(left_moduli))
+    assert len(ctx.crt_coeffs) == len(moduli)
+    for i, (coeff, weight) in enumerate(zip(ctx.crt_coeffs, weights)):
+        # weight * coefficient is M_i * y_i: 1 modulo its own modulus, 0 modulo every other
+        assert weight * coeff == flat_weights(moduli)[i]
+        for j, m in enumerate(moduli):
+            assert weight * coeff % m == (1 if i == j else 0)
+        # a split set's coefficient is below its own half's product
+        assert coeff < total // weight
 
 
 def test_residue_out_of_range_rejected():
