@@ -40,12 +40,13 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_RUN_FAULT = 3
 
-# Input limits: gen/compare --bits, run's function2 exponent E, the length
-# (also gen --count, so every set gen prints is accepted back) and dynamic-range
-# width of a --moduli list, and the characters of a run --program file; every
-# integer below a range of MAX_RANGE_BITS prints within int()'s default
-# 4300-digit limit.
+# Input limits: gen/compare --bits, compare's widths times schemes, run's
+# function2 exponent E, the length (also gen --count, so every set gen prints is
+# accepted back) and dynamic-range width of a --moduli list, and the characters
+# of a run --program file; every integer below a range of MAX_RANGE_BITS prints
+# within int()'s default 4300-digit limit.
 MAX_BITS = 8192
+MAX_COMPARE_CELLS = 8192
 MAX_EXPONENT = 4096
 MAX_MODULI = 64
 MAX_RANGE_BITS = 12288
@@ -131,6 +132,7 @@ def cmd_compare(args) -> int:
         if scheme.family == "proposed" and scheme.cardinality > 6:
             raise _UsageError(f"unknown scheme {label!r}")
         schemes.append(scheme)
+    _at_most(len(bits_list) * len(schemes), MAX_COMPARE_CELLS, "compare cells")
     rows = comparison_rows(bits_list, schemes)
     if args.format == "csv":
         sys.stdout.write(rows_to_csv(rows))

@@ -278,7 +278,7 @@ def builtin_function2(e: int) -> Microprogram:
 # unit is idle.  A line ends only at \n, \r\n or \r; '#' lines are comments.
 
 _SOURCE_TOKENS = {s.value: s for s in Source if s is not Source.NONE}
-# field key -> the Step attributes it sets; render writes the keys in this order
+# field key -> the Step attributes it sets, parsed one value each; render keeps this order
 _STEP_FIELDS = {
     "a": ("inject_a",),
     "b": ("inject_b",),
@@ -315,15 +315,11 @@ def _parse_step_line(tokens: list[str]) -> Step:
             raise ValueError(f"malformed field {token!r}")
         if attrs[0] in kwargs:
             raise ValueError(f"duplicate field {key!r}")
-        if key in ("a", "b"):
-            kwargs[attrs[0]] = _parse_value(text)
-        elif key == "emit":
-            kwargs["emit"] = _parse_source(text)
-        else:
-            parts = text.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"field {key!r} needs exactly two sources")
-            kwargs.update(zip(attrs, map(_parse_source, parts)))
+        parts = text.split(",") if len(attrs) == 2 else [text]
+        if len(parts) != len(attrs):
+            raise ValueError(f"field {key!r} needs exactly two sources")
+        parse = _parse_value if key in ("a", "b") else _parse_source
+        kwargs.update(zip(attrs, map(parse, parts)))
     return Step(**kwargs)
 
 

@@ -136,13 +136,11 @@ class SchemeId(Record):
     def parse(cls, label: str) -> "SchemeId":
         """Parse labels like "proposed4" or "sm1" (case-insensitive)."""
         text = label.strip().lower()
-        if text.startswith("proposed"):
-            cardinality = parse_decimal(text[len("proposed"):])
-            if cardinality is None:
-                raise ValueError(f"unknown scheme {label!r}")
-            return cls("proposed", cardinality)
         if text in BASELINE_FAMILIES:
             return cls(text)
+        digits = text[len("proposed"):] if text.startswith("proposed") else ""
+        if (cardinality := parse_decimal(digits)) is not None:
+            return cls("proposed", cardinality)
         raise ValueError(f"unknown scheme {label!r}")
 
     @property

@@ -47,11 +47,9 @@ def ceil_nth_root(v: int, n: int, *, start: int | None = None) -> int:
             raise ValueError(f"ceil_nth_root start must be >= 1 with start**n >= v, got {start}")
         if start < x:
             x, p = start, q
-    if n == 1:
-        return v
-    # From any x at or above s, the floor of the real root, the step is at
-    # least s by AM-GM, and below x while x exceeds s; at x = s it is at
-    # least x.  So the loop stops at s, and the answer is s or s + 1.  Each
+    # From any x at or above s, the floor of the real root, the step is at least s
+    # by AM-GM, and below x while x exceeds s; at x = s it is at least x.  So the
+    # loop stops at s, and the answer is s or s + 1; for n = 1 every step is v.  Each
     # step takes one power, p = x**(n - 1), and p * x tests start and s.
     while (y := ((n - 1) * x + v // p) // n) < x:
         x, p = y, y ** (n - 1)

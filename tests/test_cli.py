@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rnskit.cli import MAX_PROGRAM_CHARS, _build_parser, main
+from rnskit.cli import MAX_COMPARE_CELLS, MAX_PROGRAM_CHARS, _build_parser, main
 from rnskit.moduli import SchemeId
 from rnskit.tables import comparison_rows, rows_from_csv, rows_to_csv, rows_to_markdown
 
@@ -696,6 +696,28 @@ def test_limits_at_and_past_the_bound(capsys, argv, expected):
     assert code == expected, err
     if expected == 2:
         assert "over the limit" in err
+
+
+def test_compare_at_the_cell_limit_prints_every_row(capsys):
+    # widths repeat: one row per (width, scheme) pair, duplicates included
+    argv = ("compare", "--bits", ",".join(["16"] * MAX_COMPARE_CELLS), "--schemes", "sm1")
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.count("\n16,sm1,") == MAX_COMPARE_CELLS
+
+
+def test_compare_over_the_cell_limit_exits_2_before_generating(capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("generated rows past the limit")
+
+    monkeypatch.setattr("rnskit.cli.comparison_rows", fail)
+    bits = ",".join(["16"] * (MAX_COMPARE_CELLS + 1))
+    code, out, err = invoke(capsys, "compare", "--bits", bits, "--schemes", "sm1")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"rnskit: validation error: compare cells {MAX_COMPARE_CELLS + 1} "
+        f"is over the limit of {MAX_COMPARE_CELLS}\n"
+    )
 
 
 def _program_of_length(length: int, tail: str = "") -> bytes:

@@ -545,12 +545,15 @@ def test_placeholder_name_accepted_exactly_when_it_is_an_ascii_identifier(name):
             Step(inject_a=name)
 
 
-def test_parse_unknown_source_names_token_and_line():
+@pytest.mark.parametrize(
+    "field,token",
+    [("add=IN1,BAD", "BAD"), ("emit=IN1,IN2", "IN1,IN2"), ("emit=", "")],
+)
+def test_parse_unknown_source_names_token_and_line(field, token):
+    # emit takes one source, so a comma is part of its token
     with pytest.raises(ProgramParseError) as exc:
-        parse_program("PROG p\nSTEP add=IN1,BAD\nEND\n")
-    (line, message), = exc.value.diagnostics
-    assert line == 2
-    assert "'BAD'" in message
+        parse_program(f"PROG p\nSTEP {field}\nEND\n")
+    assert exc.value.diagnostics == [(2, f"unknown source token {token!r}")]
 
 
 def test_parse_duplicate_field():
@@ -565,10 +568,13 @@ def test_parse_malformed_field():
     assert "malformed" in exc.value.diagnostics[0][1]
 
 
-def test_parse_single_source_for_unit():
+@pytest.mark.parametrize(
+    "field,key", [("mul=IN1", "mul"), ("add=IN1,IN2,SUB", "add"), ("sub=", "sub")]
+)
+def test_parse_single_source_for_unit(field, key):
     with pytest.raises(ProgramParseError) as exc:
-        parse_program("PROG p\nSTEP mul=IN1\nEND\n")
-    assert "two sources" in exc.value.diagnostics[0][1]
+        parse_program(f"PROG p\nSTEP {field}\nEND\n")
+    assert exc.value.diagnostics == [(2, f"field {key!r} needs exactly two sources")]
 
 
 def test_parse_bad_decimal():
@@ -576,7 +582,7 @@ def test_parse_bad_decimal():
         parse_program("PROG p\nSTEP a=-3\nEND\n")
 
 
-@pytest.mark.parametrize("text", ["+3", "\u00b2", "\u0663", "1_0"])
+@pytest.mark.parametrize("text", ["+3", "\u00b2", "\u0663", "1_0", "1,2"])
 def test_parse_value_takes_plain_decimals_only(text):
     with pytest.raises(ProgramParseError) as exc:
         parse_program(f"PROG p\nSTEP a={text}\nEND\n")
@@ -590,6 +596,7 @@ def test_parse_value_takes_plain_decimals_only(text):
         ("a=$1x", {"inject_a": "1x"}, "a placeholder '1x' is not an identifier"),
         ("b=$", {"inject_b": ""}, "b placeholder '' is not an identifier"),
         ("b=$X-1", {"inject_b": "X-1"}, "b placeholder 'X-1' is not an identifier"),
+        ("b=$X,$Y", {"inject_b": "X,$Y"}, "b placeholder 'X,$Y' is not an identifier"),
     ],
 )
 def test_parse_reports_the_step_injection_check(field, kwargs, message):
