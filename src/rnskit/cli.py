@@ -29,7 +29,7 @@ from .moduli import (
     bit_cost,
     find_moduli,
 )
-from .numbers import parse_decimal
+from .numbers import parse_decimal, read_decimal
 from .rns import RnsContext, RnsError, to_rns, from_rns, RnsNumber
 from .tables import comparison_rows, rows_to_csv, rows_to_markdown
 
@@ -69,10 +69,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _decimal(text: str, what: str) -> int:
-    value = parse_decimal(text)
-    if value is None:
-        raise _UsageError(f"bad {what} {text!r}")
-    return value
+    try:
+        return read_decimal(text, what)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _at_most(value: int, limit: int, what: str) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from enum import Enum
 
 from ._record import Record
-from .numbers import check_int, parse_decimal
+from .numbers import check_int, read_decimal
 from .rns import RnsContext, RnsNumber, from_rns, rns_add, rns_mul, rns_sub, to_rns
 
 __all__ = [
@@ -291,12 +291,7 @@ _STEP_FIELDS = {
 
 def _parse_value(text: str):
     # Step checks the identifier and the sign; this only reads the token
-    if text.startswith("$"):
-        return text[1:]
-    value = parse_decimal(text)
-    if value is None:
-        raise ValueError(f"bad unsigned decimal {text!r}")
-    return value
+    return text[1:] if text.startswith("$") else read_decimal(text, "unsigned decimal")
 
 
 def _parse_source(text: str) -> Source:

@@ -53,11 +53,12 @@ class RangeTooSmallError(ValueError):
     """The bit budget is too small for the request (a modulus < 2 would result)."""
 
 
-def check_bits(bits) -> None:
-    """Raise unless bits is an int >= 2: TypeError, else RangeTooSmallError."""
+def check_bits(bits) -> int:
+    """Return the target 2**bits - 1; bits is an int >= 2, else TypeError or RangeTooSmallError."""
     check_int("bits", bits)
     if bits < 2:
         raise RangeTooSmallError(f"bits must be >= 2, got {bits}")
+    return (1 << bits) - 1
 
 
 class ModuliSet(Record):
@@ -190,7 +191,7 @@ def find_moduli(req: GenerationRequest) -> tuple[ModuliSet, GenerationTrace]:
     Moduli are returned in generation order, center first.  The
     accompanying trace records x and every extra slot's (k, k_root).
     """
-    target = (1 << req.bits) - 1
+    target = check_bits(req.bits)
     x = ceil_nth_root(target, req.cardinality)
     center = x if x % 2 == 0 else x + 1
     if req.cardinality == 3:
@@ -251,8 +252,7 @@ def baseline(scheme: SchemeId, bits: int) -> ModuliSet:
     """
     if scheme.family not in BASELINE_FAMILIES:
         raise ValueError(f"baseline requires one of {tuple(BASELINE_FAMILIES)}, got {scheme.label}")
-    check_bits(bits)
-    target = (1 << bits) - 1
+    target = check_bits(bits)
     member = BASELINE_FAMILIES[scheme.family]
 
     # exact search: every modulus of a member, so its product and its
@@ -290,8 +290,7 @@ def validate(moduli_set: ModuliSet, bits: int) -> ValidationReport:
     separately: the offending small moduli, every non-coprime pair, and how
     far the dynamic range falls short of 2**bits - 1 (zero when covered).
     """
-    check_bits(bits)
+    target = check_bits(bits)
     small, pairs = structural_faults(moduli_set.moduli)
-    target = (1 << bits) - 1
     shortfall = max(0, target - moduli_set.dynamic_range)
     return ValidationReport(small, pairs, shortfall)

@@ -99,6 +99,13 @@ def parse_decimal(text: str) -> int | None:
         return None
 
 
+def read_decimal(text: str, what: str) -> int:
+    """parse_decimal's int, else ValueError naming what and the text."""
+    if (value := parse_decimal(text)) is None:
+        raise ValueError(f"bad {what} {text!r}")
+    return value
+
+
 def check_int(label: str, value) -> None:
     """TypeError naming label unless value is an int other than a bool; subclasses pass."""
     if type(value) is bool or not isinstance(value, int):

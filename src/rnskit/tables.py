@@ -14,7 +14,7 @@ import io
 from ._record import Record
 from .moduli import (ModuliSet, SchemeId, baseline, bit_cost, check_bits, find_moduli,
                      GenerationRequest)
-from .numbers import parse_decimal
+from .numbers import read_decimal
 
 __all__ = [
     "ComparisonRow",
@@ -109,36 +109,28 @@ def rows_from_csv(text: str) -> list[ComparisonRow]:
         raise ValueError(f"unexpected CSV header {header!r}")
     rows = []
     for record in reader:
-        line = reader.line_num
-        if len(record) != len(CSV_HEADER):
-            raise ValueError(f"line {line}: expected {len(CSV_HEADER)} fields, got {len(record)}")
-        bits, scheme, cardinality, moduli, cost, note = record
-        bits = _field(line, "bits", bits)
         try:
+            if len(record) != len(CSV_HEADER):
+                raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(record)}")
+            bits, scheme, cardinality, moduli, cost, note = record
+            bits = read_decimal(bits, "bits")
             check_bits(bits)
             scheme = SchemeId.parse(scheme)
+            parsed = tuple(read_decimal(m, "modulus") for m in moduli.split(";"))
+            if min(parsed) < 2:
+                raise ValueError(f"modulus {min(parsed)} < 2")
+            if len(parsed) != read_decimal(cardinality, "cardinality"):
+                raise ValueError(f"cardinality {cardinality} does not match {moduli!r}")
+            count = scheme.cardinality or 3  # every baseline family is a triple
+            if len(parsed) != count:
+                raise ValueError(f"{scheme.label} takes {count} moduli, got {len(parsed)}")
+            cost, width = read_decimal(cost, "bit_cost"), bit_cost(ModuliSet(parsed))
+            if cost != width:
+                raise ValueError(f"bit_cost {cost} is not the moduli's {width}")
         except ValueError as exc:
-            raise type(exc)(f"line {line}: {exc}") from None
-        parsed = tuple(_field(line, "modulus", m) for m in moduli.split(";"))
-        if min(parsed) < 2:
-            raise ValueError(f"line {line}: modulus {min(parsed)} < 2")
-        if len(parsed) != _field(line, "cardinality", cardinality):
-            raise ValueError(f"line {line}: cardinality {cardinality} does not match {moduli!r}")
-        count = scheme.cardinality or 3  # every baseline family is a triple
-        if len(parsed) != count:
-            raise ValueError(f"line {line}: {scheme.label} takes {count} moduli, got {len(parsed)}")
-        cost, width = _field(line, "bit_cost", cost), bit_cost(ModuliSet(parsed))
-        if cost != width:
-            raise ValueError(f"line {line}: bit_cost {cost} is not the moduli's {width}")
+            raise type(exc)(f"line {reader.line_num}: {exc}") from None
         rows.append(ComparisonRow(bits, scheme, parsed, cost, note or None))
     return rows
-
-
-def _field(line: int, name: str, text: str) -> int:
-    value = parse_decimal(text)
-    if value is None:
-        raise ValueError(f"line {line}: bad {name} {text!r}")
-    return value
 
 
 def rows_to_markdown(rows) -> str:

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rnskit import cli
 from rnskit.cli import MAX_COMPARE_CELLS, MAX_PROGRAM_CHARS, _build_parser, main
 from rnskit.moduli import SchemeId
+from rnskit.moduli import CardinalityError, RangeTooSmallError
 from rnskit.tables import comparison_rows, rows_from_csv, rows_to_csv, rows_to_markdown
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -167,6 +169,15 @@ def test_compare_csv_roundtrip(capsys):
     assert rows_to_csv(rows) == out
 
 
+def _csv_error_type(message):
+    """The exact type rows_from_csv raises: a check it borrows keeps its own type."""
+    if "bits must be >= 2" in message:
+        return RangeTooSmallError
+    if "proposed scheme needs" in message:
+        return CardinalityError
+    return ValueError
+
+
 @pytest.mark.parametrize(
     "text,message",
     [
@@ -184,6 +195,7 @@ def test_rows_from_csv_rejects_a_bad_header_or_cardinality(text, message):
     with pytest.raises(ValueError) as exc:
         rows_from_csv(text)
     assert str(exc.value) == message
+    assert type(exc.value) is _csv_error_type(message)
 
 
 @pytest.mark.parametrize(
@@ -198,6 +210,7 @@ def test_rows_from_csv_rejects_a_bad_header_or_cardinality(text, message):
         ("16,sm3,2,42;43,12,", "line 3: sm3 takes 3 moduli, got 2"),
         ("16,proposed3,3,42;43;41,19,", "line 3: bit_cost 19 is not the moduli's 18"),
         ("16,proposed3,3,42;43;41,0,", "line 3: bit_cost 0 is not the moduli's 18"),
+        ("16,proposed2,2,42;43,12,", "line 3: proposed scheme needs cardinality >= 3, got 2"),
     ],
 )
 def test_rows_from_csv_rejects_a_record_rows_to_csv_cannot_write(record, message):
@@ -205,6 +218,7 @@ def test_rows_from_csv_rejects_a_record_rows_to_csv_cannot_write(record, message
     with pytest.raises(ValueError) as exc:
         rows_from_csv(f"bits,scheme,cardinality,moduli,bit_cost,note\n{good}\n{record}\n")
     assert str(exc.value) == message
+    assert type(exc.value) is _csv_error_type(message)
 
 
 def test_rows_from_csv_accepts_the_smallest_legal_records():
@@ -239,6 +253,7 @@ def test_rows_from_csv_rejects_empty_text_or_a_record_of_the_wrong_width(text, m
     with pytest.raises(ValueError) as exc:
         rows_from_csv(text)
     assert str(exc.value) == message
+    assert type(exc.value) is _csv_error_type(message)
 
 
 @pytest.mark.parametrize(
@@ -256,6 +271,16 @@ def test_rows_from_csv_names_the_line_and_field_of_a_bad_value(record, message):
     with pytest.raises(ValueError) as exc:
         rows_from_csv(f"bits,scheme,cardinality,moduli,bit_cost,note\n{record}\n")
     assert str(exc.value) == message
+    assert type(exc.value) is _csv_error_type(message)
+
+
+def test_rows_from_csv_names_the_bad_record_s_own_line_after_a_multiline_note():
+    good = '16,proposed3,3,42;43;41,18,"a note\non two lines"'
+    text = f"bits,scheme,cardinality,moduli,bit_cost,note\n{good}\nx,proposed3,3,42;43;41,18,\n"
+    with pytest.raises(ValueError) as exc:
+        rows_from_csv(text)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "line 4: bad bits 'x'"
 
 
 def test_compare_markdown(capsys):
@@ -704,6 +729,28 @@ def test_compare_at_the_cell_limit_prints_every_row(capsys):
     code, out, err = invoke(capsys, *argv)
     assert (code, err) == (0, "")
     assert out.count("\n16,sm1,") == MAX_COMPARE_CELLS
+
+
+def test_compare_repeats_a_pair_in_csv_but_shows_it_once_in_markdown(capsys):
+    compare = ("compare", "--bits", "16,16", "--schemes", "sm1,sm1")
+    header = "bits,scheme,cardinality,moduli,bit_cost,note\n"
+    assert invoke(capsys, *compare) == (0, header + "16,sm1,3,64;65;63,20,\n" * 4, "")
+    assert invoke(capsys, *compare, "--format", "markdown") == (
+        0, "| N | sm1 | #bits |\n|---|---|---|\n| 16 | (64,65,63) | 20 |\n", "")
+
+
+def test_readme_limits_table_matches_the_constants():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| input | limit |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    assert dict(re.findall(r"^\| (.+?) \| ≤ (\d+)", table, re.M)) == {
+        "`gen --bits`, each `compare --bits` width": str(cli.MAX_BITS),
+        "`compare` cells: widths × schemes, repeats counted": str(cli.MAX_COMPARE_CELLS),
+        "`gen --count`": str(cli.MAX_MODULI),
+        "`run --builtin function2` exponent `E`": str(cli.MAX_EXPONENT),
+        "`--moduli` list length": str(cli.MAX_MODULI),
+        "`--moduli` dynamic range": str(cli.MAX_RANGE_BITS),
+        "`run --program` file": str(cli.MAX_PROGRAM_CHARS),
+    }
 
 
 def test_compare_over_the_cell_limit_exits_2_before_generating(capsys, monkeypatch):

@@ -733,7 +733,7 @@ def _reference_parse_value(text):
         if not _REFERENCE_IDENT.match(name):
             raise ValueError(f"bad placeholder {text!r}")
         return name
-    value = datapath.parse_decimal(text)
+    value = rnskit.numbers.parse_decimal(text)
     if value is None or value < 0:
         raise ValueError(f"bad unsigned decimal {text!r}")
     return value

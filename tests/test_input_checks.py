@@ -7,6 +7,7 @@ hold the source to one int check and to exact integer arithmetic.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,14 @@ def test_each_entry_point_rejects_a_bad_value_naming_the_field(call, value, erro
         assert str(exc.value) == message
     else:
         assert message in str(exc.value)
+
+
+def test_readme_entry_point_table_lists_every_entry_point():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| entry point | field | range |\n|---|---|---|\n", 1)[1]
+    listed = " ".join(re.findall(r"^\| (.+?) \|", table.split("\n\n", 1)[0], re.M))
+    names = dict.fromkeys(name.split(".")[0] for name in ENTRY_POINTS)
+    assert [name for name in names if f"`{name}(" not in listed] == []
 
 
 def _int_checks(tree: ast.AST) -> list[ast.Call]:
