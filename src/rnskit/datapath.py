@@ -80,19 +80,13 @@ class ProgramParseError(ValueError):
         )
 
 
-def _check_unsigned(label: str, value) -> None:
-    check_int(f"{label} injection", value)
-    if value < 0:
-        raise ValueError(f"{label} injection must be unsigned, got {value}")
-
-
 def _check_injection(label: str, value) -> None:
     if isinstance(value, str):
         # for ASCII text this is exactly [A-Za-z_][A-Za-z0-9_]*
         if not (value.isascii() and value.isidentifier()):
             raise ValueError(f"{label} placeholder {value!r} is not an identifier")
     elif value is not None:
-        _check_unsigned(label, value)
+        check_int(f"{label} injection", value, 0)
 
 
 class Step(Record):
@@ -195,7 +189,7 @@ def run(
         value = bindings[name]
         # a plain unsigned int passes here; any other value gets the full check
         if type(value) is not int or value < 0:
-            _check_unsigned(label, value)
+            check_int(f"{label} injection", value, 0)
     latches: dict[Source, RnsNumber] = {}
     outputs: list[int] = []
     trace: list[dict[Source, RnsNumber]] = []
@@ -250,9 +244,7 @@ def builtin_function2(e: int) -> Microprogram:
     emit.  e is an int >= 0, not a bool; e < 2 returns a shared program,
     e >= 2 one tuple of shared steps, all reading X through one converter.
     """
-    check_int("exponent", e)
-    if e < 0:
-        raise ValueError(f"exponent must be >= 0, got {e}")
+    check_int("exponent", e, 0)
     if e < 2:
         return _POW_BELOW_2[e]
     # a bit below the leading one is a square "0", then if set a times X "x";

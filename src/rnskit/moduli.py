@@ -55,9 +55,7 @@ class RangeTooSmallError(ValueError):
 
 def check_bits(bits) -> int:
     """Return the target 2**bits - 1; bits is an int >= 2, else TypeError or RangeTooSmallError."""
-    check_int("bits", bits)
-    if bits < 2:
-        raise RangeTooSmallError(f"bits must be >= 2, got {bits}")
+    check_int("bits", bits, 2, RangeTooSmallError)
     return (1 << bits) - 1
 
 
@@ -84,9 +82,7 @@ class GenerationRequest(Record):
     __slots__ = FIELDS = ("bits", "cardinality")
 
     def __init__(self, bits: int, cardinality: int) -> None:
-        check_int("cardinality", cardinality)
-        if cardinality < 3:
-            raise CardinalityError(f"cardinality must be >= 3, got {cardinality}")
+        check_int("cardinality", cardinality, 3, CardinalityError)
         check_bits(bits)
         self.__setstate__((bits, cardinality))
 
@@ -120,12 +116,7 @@ class SchemeId(Record):
 
     def __init__(self, family: str, cardinality: int | None = None) -> None:
         if family == "proposed":
-            if cardinality is not None:
-                check_int("cardinality", cardinality)
-            if cardinality is None or cardinality < 3:
-                raise CardinalityError(
-                    f"proposed scheme needs cardinality >= 3, got {cardinality}"
-                )
+            check_int("cardinality", cardinality, 3, CardinalityError)
         elif family in BASELINE_FAMILIES:
             if cardinality is not None:
                 raise ValueError(f"{family} does not take a cardinality")

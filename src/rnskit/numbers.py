@@ -31,13 +31,9 @@ def ceil_nth_root(v: int, n: int, *, start: int | None = None) -> int:
     caller that knows an upper bound on the root passes it as `start`: an
     int >= 1 with start**n >= v, else ValueError (TypeError if not an int).
     """
-    if type(v) is not int or type(n) is not int:
-        check_int("v", v)
-        check_int("n", n)
-    if v < 1:
-        raise ValueError(f"ceil_nth_root requires v >= 1, got {v}")
-    if n < 1:
-        raise ValueError(f"ceil_nth_root requires n >= 1, got {n}")
+    if type(v) is not int or type(n) is not int or v < 1 or n < 1:
+        check_int("v", v, 1)
+        check_int("n", n, 1)
     e = (v.bit_length() + n - 1) // n
     x, p = 1 << e, 1 << (e * (n - 1))
     if start is not None:
@@ -62,11 +58,9 @@ def mod_inverse(a: int, m: int) -> int:
     Returns y in [1, m) with (a * y) % m == 1; raises NotCoprimeError
     when gcd(a % m, m) != 1.
     """
-    if type(a) is not int or type(m) is not int:
+    if type(a) is not int or type(m) is not int or m < 2:
         check_int("a", a)
-        check_int("m", m)
-    if m < 2:
-        raise ValueError(f"mod_inverse requires m >= 2, got {m}")
+        check_int("m", m, 2)
     a %= m
     try:
         return pow(a, -1, m)
@@ -106,7 +100,13 @@ def read_decimal(text: str, what: str) -> int:
     return value
 
 
-def check_int(label: str, value) -> None:
-    """TypeError naming label unless value is an int other than a bool; subclasses pass."""
+def check_int(label: str, value, least: int | None = None, error: type = ValueError) -> None:
+    """TypeError naming label unless value is an int other than a bool; subclasses pass.
+
+    Given least, a value below it then raises error("<label> must be >= <least>,
+    got <value>"), the one message every int field's floor gives.
+    """
     if type(value) is bool or not isinstance(value, int):
         raise TypeError(f"{label} {value!r} is not an int")
+    if least is not None and value < least:
+        raise error(f"{label} must be >= {least}, got {value}")

@@ -159,10 +159,8 @@ def _channelwise(ctx: RnsContext, op, a: RnsNumber, b: RnsNumber) -> RnsNumber:
 
 def to_rns(ctx: RnsContext, x: int) -> RnsNumber:
     """Convert an int x >= 0 (not a bool) to residues; x >= the dynamic range wraps."""
-    if type(x) is not int:
-        check_int("value", x)
-    if x < 0:
-        raise RnsError(f"negative values are unsupported, got {x}")
+    if type(x) is not int or x < 0:
+        check_int("value", x, 0, RnsError)
     number = _new(RnsNumber)
     _set_residues(number, _remainders(x, ctx._tree))
     _set_moduli_set(number, ctx.moduli_set)
@@ -201,9 +199,7 @@ def rns_pow(ctx: RnsContext, a: RnsNumber, e: int) -> RnsNumber:
     ms = ctx.moduli_set
     if a.moduli_set is not ms:
         _check_operand(ctx, a)
-    check_int("exponent", e)
-    if e < 0:
-        raise RnsError(f"exponent must be >= 0, got {e}")
+    check_int("exponent", e, 0, RnsError)
     number = _new(RnsNumber)
     _set_residues(number, tuple(map(pow, a.residues, repeat(e), ms.moduli)))
     _set_moduli_set(number, ms)

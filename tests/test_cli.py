@@ -173,7 +173,7 @@ def _csv_error_type(message):
     """The exact type rows_from_csv raises: a check it borrows keeps its own type."""
     if "bits must be >= 2" in message:
         return RangeTooSmallError
-    if "proposed scheme needs" in message:
+    if "cardinality must be >= 3" in message:
         return CardinalityError
     return ValueError
 
@@ -210,7 +210,7 @@ def test_rows_from_csv_rejects_a_bad_header_or_cardinality(text, message):
         ("16,sm3,2,42;43,12,", "line 3: sm3 takes 3 moduli, got 2"),
         ("16,proposed3,3,42;43;41,19,", "line 3: bit_cost 19 is not the moduli's 18"),
         ("16,proposed3,3,42;43;41,0,", "line 3: bit_cost 0 is not the moduli's 18"),
-        ("16,proposed2,2,42;43,12,", "line 3: proposed scheme needs cardinality >= 3, got 2"),
+        ("16,proposed2,2,42;43,12,", "line 3: cardinality must be >= 3, got 2"),
     ],
 )
 def test_rows_from_csv_rejects_a_record_rows_to_csv_cannot_write(record, message):
@@ -312,8 +312,8 @@ def test_compare_unknown_scheme_exits_1(capsys):
 @pytest.mark.parametrize(
     "label,message",
     [
-        ("proposed-3", "proposed scheme needs cardinality >= 3, got -3"),
-        ("proposed2", "proposed scheme needs cardinality >= 3, got 2"),
+        ("proposed-3", "cardinality must be >= 3, got -3"),
+        ("proposed2", "cardinality must be >= 3, got 2"),
         ("proposed7", "unknown scheme 'proposed7'"),
     ],
 )

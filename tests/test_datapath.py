@@ -592,7 +592,7 @@ def test_parse_value_takes_plain_decimals_only(text):
 @pytest.mark.parametrize(
     "field,kwargs,message",
     [
-        ("a=-3", {"inject_a": -3}, "a injection must be unsigned, got -3"),
+        ("a=-3", {"inject_a": -3}, "a injection must be >= 0, got -3"),
         ("a=$1x", {"inject_a": "1x"}, "a placeholder '1x' is not an identifier"),
         ("b=$", {"inject_b": ""}, "b placeholder '' is not an identifier"),
         ("b=$X-1", {"inject_b": "X-1"}, "b placeholder 'X-1' is not an identifier"),
@@ -879,7 +879,7 @@ def _reference_run(ctx, prog, bindings=None):
             if isinstance(name, str):
                 if name not in bindings:
                     raise UnboundPlaceholderError(name)
-                datapath._check_unsigned(label, bindings[name])
+                rnskit.numbers.check_int(f"{label} injection", bindings[name], 0)
     state = _RefState(bindings=bindings)
     trace = []
     for i, s in enumerate(prog.steps):
@@ -950,13 +950,13 @@ class _Count(int):
 @pytest.mark.parametrize("name", ["X", "Z"])  # X is injected as a in step 0, Z as b in step 1
 def test_bound_value_outcome_is_the_full_check(name, value):
     # run accepts a plain unsigned int inline; every other value must still
-    # get _check_unsigned's verdict and message, as the reference run does
+    # get check_int's verdict and message, as the reference run does
     bindings = {"X": 7, "Y": 1, "Z": 3, name: value}
     outcome = _ran(run, CTX, builtin_function1(), bindings)
     assert outcome == _ran(_reference_run, CTX, builtin_function1(), bindings)
     label = "a" if name == "X" else "b"
     if value == -1:
-        message = f"{label} injection must be unsigned, got -1"
+        message = f"{label} injection must be >= 0, got -1"
         assert outcome == ("fault", ValueError, (None, None, None), message)
     elif type(value) in (bool, float, str):
         message = f"{label} injection {value!r} is not an int"

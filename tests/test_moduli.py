@@ -136,7 +136,7 @@ def test_scheme_parse():
 
 @pytest.mark.parametrize("label", ["proposed-3", "proposed0", "proposed-0"])
 def test_scheme_parse_leaves_the_cardinality_bound_to_scheme_id(label):
-    message = f"^proposed scheme needs cardinality >= 3, got {int(label[len('proposed'):])}$"
+    message = f"^cardinality must be >= 3, got {int(label[len('proposed'):])}$"
     with pytest.raises(CardinalityError, match=message):
         SchemeId.parse(label)
 
