@@ -12,7 +12,6 @@ from math import gcd
 __all__ = [
     "ceil_nth_root",
     "mod_inverse",
-    "coprime_to_all",
     "parse_decimal",
     "NotCoprimeError",
 ]

@@ -119,11 +119,6 @@ def test_gen_usage_error_exits_1(capsys):
     assert code == 1
 
 
-def test_gen_count_below_three_exits_2(capsys):
-    code, _, _ = invoke(capsys, "gen", "--bits", "16", "--count", "2")
-    assert code == 2
-
-
 # --- compare ---------------------------------------------------------------------
 
 
@@ -309,17 +304,11 @@ def test_compare_unknown_scheme_exits_1(capsys):
     assert "sm9" in err
 
 
-@pytest.mark.parametrize(
-    "label,message",
-    [
-        ("proposed-3", "cardinality must be >= 3, got -3"),
-        ("proposed2", "cardinality must be >= 3, got 2"),
-        ("proposed7", "unknown scheme 'proposed7'"),
-    ],
-)
-def test_compare_cardinality_out_of_bounds_exits_1(capsys, label, message):
-    code, out, err = invoke(capsys, "compare", "--bits", "16", "--schemes", label)
-    assert (code, out, err) == (1, "", f"rnskit: error: {message}\n")
+def test_compare_baseline_bit_costs_at_the_least_and_the_most_bits(capsys):
+    code, out, err = invoke(capsys, "compare", "--bits", "2,8192", "--schemes", "sm1,sm2,sm3")
+    assert (code, err) == (0, "")
+    costs = [line.split(",")[4] for line in out.splitlines()[1:]]
+    assert costs == ["8", "9", "10", "8195", "8196", "8194"]
 
 
 def test_compare_empty_bits_exits_1(capsys):
@@ -404,32 +393,12 @@ def test_run_warns_once_per_literal_injection_that_wraps(capsys, tmp_path):
     assert invoke(capsys, *program) == (0, "503\n", "")
 
 
-def test_convert_residue_out_of_range_exits_2(capsys):
-    code, _, _ = invoke(capsys, "convert", "--moduli", "8,9,7", "--residues", "8,0,0")
-    assert code == 2
-
-
 def test_convert_non_decimal_value_exits_1(capsys):
     code, out, err = invoke(capsys, "convert", "--moduli", "8,9,7", "--value", "abc")
     assert code == 1
     assert out == ""
     assert err.startswith("rnskit: error:")
     assert "Traceback" not in err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("convert", "--moduli", "8,9,7", "--value", "-5"),
-        ("convert", "--moduli", "8,-9,7", "--value", "5"),
-        ("convert", "--moduli", "8,9,7", "--residues", "4,-1,1"),
-        ("gen", "--bits", "-5", "--count", "3"),
-    ],
-)
-def test_negative_numbers_reach_validation_exits_2(capsys, argv):
-    code, _, err = invoke(capsys, *argv)
-    assert code == 2
-    assert "validation" in err
 
 
 @pytest.mark.parametrize(
@@ -446,38 +415,6 @@ def test_non_decimal_numbers_exit_1(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("rnskit: error:")
-
-
-@pytest.mark.parametrize(
-    "argv,expected",
-    [
-        (
-            ("compare", "--bits", "1", "--schemes", "sm1"),
-            (2, "", "rnskit: validation error: bits must be >= 2, got 1\n"),
-        ),
-        (
-            ("compare", "--bits", "16", "--schemes", "sm1,,sm2"),
-            (
-                0,
-                "bits,scheme,cardinality,moduli,bit_cost,note\n"
-                "16,sm1,3,64;65;63,20,\n16,sm2,3,64;63;31,18,\n",
-                "",
-            ),
-        ),
-        (
-            ("compare", "--bits", "16", "--schemes", ","),
-            (1, "", "rnskit: error: empty schemes list\n"),
-        ),
-        (
-            ("run", "--builtin", "function1", "--moduli", "8,9,7",
-             "--bind", "X=1,,Y=2", "--bind", ",", "--bind", "Z=3"),
-            (0, "9\n", ""),
-        ),
-    ],
-    ids=["baseline-bits-below-2", "empty-scheme-skipped", "no-scheme", "empty-bindings-skipped"],
-)
-def test_empty_list_items_and_baseline_bits_check(capsys, argv, expected):
-    assert invoke(capsys, *argv) == expected
 
 
 def test_convert_requires_direction(capsys):
@@ -550,26 +487,6 @@ def test_run_program_file(capsys, tmp_path):
     assert out.strip() == "42"
 
 
-def test_run_parse_error_exits_1(capsys, tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("PROG p\nSTEP add=IN1,BAD\nEND\n")
-    code, _, err = invoke(
-        capsys, "run", "--program", str(path), "--moduli", "8,9,7",
-    )
-    assert code == 1
-    assert "line 2" in err
-
-
-def test_run_fault_exits_3(capsys, tmp_path):
-    path = tmp_path / "fault.txt"
-    path.write_text("PROG p\nSTEP emit=MUL\nEND\n")
-    code, _, err = invoke(
-        capsys, "run", "--program", str(path), "--moduli", "8,9,7",
-    )
-    assert code == 3
-    assert "step 0" in err
-
-
 def test_run_program_not_utf8_exits_1(capsys, tmp_path):
     path = tmp_path / "binary.bin"
     path.write_bytes(b"\x7fELF\x02\x01\x01\x00\xff\xfe\xc3\x28")
@@ -592,22 +509,6 @@ def test_run_program_after_a_utf8_byte_order_mark(capsys, tmp_path):
     assert invoke(capsys, *argv) == (0, "36\n", "")
 
 
-def test_run_fault_prints_no_outputs_and_no_trace(capsys, tmp_path):
-    path = tmp_path / "fault.txt"
-    path.write_text("PROG p\nSTEP a=5 emit=IN1\nSTEP add=ADD,IN1\nEND\n")
-    argv = ("run", "--program", str(path), "--moduli", "8,9,7", "--trace")
-    assert invoke(capsys, *argv) == (
-        3, "", "rnskit: run fault: step 1: read of undefined latch ADD\n")
-
-
-@pytest.mark.parametrize(
-    "schemes,message", [(",,", "empty schemes list"), ("sm9,,", "unknown scheme 'sm9'")]
-)
-def test_compare_scheme_list_errors_exit_1(capsys, schemes, message):
-    expected = (1, "", f"rnskit: error: {message}\n")
-    assert invoke(capsys, "compare", "--bits", "16", "--schemes", schemes) == expected
-
-
 def test_run_trace_goes_to_stderr(capsys):
     code, out, err = invoke(
         capsys,
@@ -620,11 +521,19 @@ def test_run_trace_goes_to_stderr(capsys):
     assert "IN1=(7,7,0)" in err
 
 
-@pytest.mark.parametrize("x,e,output,steps", [("3", 4096, 81, 12), ("5", 4095, 125, 22)])
-def test_run_function2_traces_one_line_per_cycle(capsys, x, e, output, steps):
-    # floor(log2 E) + popcount(E) - 1 cycles, as README states
-    run2 = ("run", "--builtin", "function2", "--moduli", "8,9,7", "--trace")
-    code, out, err = invoke(capsys, *run2, "--bind", f"X={x},E={e}")
+@pytest.mark.parametrize(
+    "builtin,bind,output,steps",
+    [
+        ("function1", "X=7,Y=5,Z=3", 36, 2),
+        ("function2", "X=3,E=4096", 81, 12),
+        ("function2", "X=5,E=4095", 125, 22),
+        ("function2", "X=5,E=2", 25, 1),
+    ],
+)
+def test_run_builtin_traces_one_line_per_cycle(capsys, builtin, bind, output, steps):
+    # function1 takes 2 cycles, function2 floor(log2 E) + popcount(E) - 1, as README states
+    argv = ("run", "--builtin", builtin, "--moduli", "8,9,7", "--bind", bind, "--trace")
+    code, out, err = invoke(capsys, *argv)
     assert (code, out) == (0, f"{output}\n")
     assert [line.split(":")[0] for line in err.splitlines()] == [f"step {i}" for i in range(steps)]
 
@@ -642,6 +551,174 @@ def test_run_missing_function2_exponent_exits_1(capsys):
     )
     assert code == 1
     assert "E" in err
+
+
+# --- exit code, stdout and stderr -----------------------------------------------
+
+
+def _error(message):
+    return (1, "", f"rnskit: error: {message}\n")
+
+
+def _invalid(message):
+    return (2, "", f"rnskit: validation error: {message}\n")
+
+
+def _fault(message):
+    return (3, "", f"rnskit: run fault: {message}\n")
+
+
+CONVERT = ("convert", "--moduli", "8,9,7")
+RUN_PROGRAM = ("run", "--moduli", "8,9,7", "--program")
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        # a run that faults prints no outputs and no --trace lines
+        pytest.param(
+            (*RUN_PROGRAM, "PROG fault\nSTEP add=ADD,IN1\nEND\n", "--trace"),
+            _fault("step 0: read of undefined latch ADD"),
+            id="fault-at-step-0",
+        ),
+        pytest.param(
+            (*RUN_PROGRAM, "PROG p\nSTEP a=5 emit=IN1\nSTEP add=ADD,IN1\nEND\n", "--trace"),
+            _fault("step 1: read of undefined latch ADD"),
+            id="fault-at-step-1",
+        ),
+        pytest.param(
+            (*RUN_PROGRAM, "PROG p\nSTEP emit=MUL\nEND\n"),
+            _fault("step 0: read of undefined latch MUL"),
+            id="fault-at-emit",
+        ),
+        # one line-numbered diagnostic per bad line; emit takes one source,
+        # so its comma is part of the token
+        pytest.param(
+            (*RUN_PROGRAM, "PROG bad\nSTEP emit=IN1,IN2\nSTEP add=IN1\nEND\n"),
+            (
+                1,
+                "",
+                "rnskit: parse error: line 2: unknown source token 'IN1,IN2'\n"
+                "rnskit: parse error: line 3: field 'add' needs exactly two sources\n",
+            ),
+            id="parse-errors-on-two-lines",
+        ),
+        pytest.param(
+            (*RUN_PROGRAM, "PROG p\nSTEP add=IN1,BAD\nEND\n"),
+            (1, "", "rnskit: parse error: line 2: unknown source token 'BAD'\n"),
+            id="parse-error-bad-token",
+        ),
+        # a number out of range is a validation error wherever it enters, a negative one too
+        pytest.param(
+            (*CONVERT, "--value", "-5"),
+            _invalid("value must be >= 0, got -5"),
+            id="value-below-0",
+        ),
+        pytest.param(
+            ("convert", "--moduli", "8,-9,7", "--value", "5"),
+            _invalid("modulus -9 < 2"),
+            id="negative-modulus",
+        ),
+        pytest.param(
+            (*CONVERT, "--residues", "4,-1,1"),
+            _invalid("residue -1 out of range for modulus 9"),
+            id="negative-residue",
+        ),
+        pytest.param(
+            ("gen", "--bits", "-5", "--count", "3"),
+            _invalid("bits must be >= 2, got -5"),
+            id="gen-bits-below-2",
+        ),
+        pytest.param(
+            (*CONVERT, "--residues", "8,0,0"),
+            _invalid("residue 8 out of range for modulus 8"),
+            id="residue-out-of-range",
+        ),
+        pytest.param(
+            ("gen", "--bits", "16", "--count", "2"),
+            _invalid("cardinality must be >= 3, got 2"),
+            id="gen-count-below-3",
+        ),
+        # argparse takes a list that begins with "-" for an option, unless it
+        # is a plain negative number; --flag=value gets it through
+        pytest.param(
+            (*CONVERT, "--residues", "-5,0,0"),
+            (1, "", "rnskit convert: error: argument --residues: expected one argument\n"),
+            id="leading-minus-list-after-a-space",
+        ),
+        pytest.param(
+            (*CONVERT, "--residues=-5,0,0"),
+            _invalid("residue -5 out of range for modulus 8"),
+            id="leading-minus-list-after-equals",
+        ),
+        # compare: a width below 2 is a validation error, a bad scheme label a usage error
+        pytest.param(
+            ("compare", "--bits", "1", "--schemes", "sm1"),
+            _invalid("bits must be >= 2, got 1"),
+            id="baseline-bits-below-2",
+        ),
+        pytest.param(
+            ("compare", "--bits", "16", "--schemes", "proposed-3"),
+            _error("cardinality must be >= 3, got -3"),
+            id="scheme-cardinality-negative",
+        ),
+        pytest.param(
+            ("compare", "--bits", "16", "--schemes", "proposed2"),
+            _error("cardinality must be >= 3, got 2"),
+            id="scheme-cardinality-below-3",
+        ),
+        pytest.param(
+            ("compare", "--bits", "16", "--schemes", "proposed7"),
+            _error("unknown scheme 'proposed7'"),
+            id="scheme-proposed7-unknown",
+        ),
+        # an empty list item is skipped; a list of nothing but empty items is an error
+        pytest.param(
+            ("compare", "--bits", "16", "--schemes", "sm1,,sm2"),
+            (
+                0,
+                "bits,scheme,cardinality,moduli,bit_cost,note\n"
+                "16,sm1,3,64;65;63,20,\n16,sm2,3,64;63;31,18,\n",
+                "",
+            ),
+            id="empty-scheme-skipped",
+        ),
+        pytest.param(
+            ("compare", "--bits", "16", "--schemes", ","),
+            _error("empty schemes list"),
+            id="no-scheme",
+        ),
+        pytest.param(
+            ("compare", "--bits", "16", "--schemes", ",,"),
+            _error("empty schemes list"),
+            id="no-schemes",
+        ),
+        pytest.param(
+            ("compare", "--bits", "16", "--schemes", "sm9,,"),
+            _error("unknown scheme 'sm9'"),
+            id="unknown-scheme-before-empty-items",
+        ),
+        pytest.param(
+            ("run", "--builtin", "function1", "--moduli", "8,9,7",
+             "--bind", "X=1,,Y=2", "--bind", ",", "--bind", "Z=3"),
+            (0, "9\n", ""),
+            id="empty-bindings-skipped",
+        ),
+    ],
+)
+def test_exit_code_stdout_and_stderr(capsys, tmp_path, argv, expected):
+    # the value after --program in a row is the program's text, run from a file
+    argv = list(argv)
+    if "--program" in argv:
+        path = tmp_path / "prog.txt"
+        at = argv.index("--program") + 1
+        path.write_text(argv[at])
+        argv[at] = str(path)
+    code, out, err = invoke(capsys, *argv)
+    if err.startswith("usage: "):
+        # argparse wraps its usage lines to the terminal; only its error line is fixed
+        err = err.splitlines(keepends=True)[-1]
+    assert (code, out, err) == expected
 
 
 # --- one parser per process ------------------------------------------------------
@@ -805,13 +882,26 @@ def test_widest_range_prints_every_value(capsys):
     assert out.strip() == str(2**12288 - 3)
 
 
-@pytest.mark.parametrize("count", ["3", "64"])
-def test_generated_set_at_the_limits_is_accepted_back(capsys, count):
-    code, out, _ = invoke(capsys, "gen", "--bits", "8192", "--count", count)
-    assert code == 0
+@pytest.mark.parametrize(
+    "bits,count,value",
+    [
+        (8192, 3, 1),
+        (8192, 64, 1),
+        # 3**1290 (616 digits) over a 2049-bit range split at the remainder
+        # tree's root, 3**630 (301 digits) over a 1001-bit range of one leaf
+        (2048, 24, 3**1290),
+        (1000, 16, 3**630),
+    ],
+    ids=["8192-bits-3-moduli", "8192-bits-64-moduli", "split-range", "one-leaf-range"],
+)
+def test_generated_set_is_accepted_back_and_round_trips(capsys, bits, count, value):
+    code, out, err = invoke(capsys, "gen", "--bits", str(bits), "--count", str(count))
+    assert (code, err) == (0, "")
     moduli = out.splitlines()[0].removeprefix("moduli: ")
-    code, _, err = invoke(capsys, "convert", "--moduli", moduli, "--value", "1")
-    assert code == 0, err
+    code, residues, err = invoke(capsys, "convert", "--moduli", moduli, "--value", str(value))
+    assert (code, err) == (0, "")
+    back = ("convert", "--moduli", moduli, "--residues", residues.rstrip("\n"))
+    assert invoke(capsys, *back) == (0, f"{value}\n", "")
 
 
 # --- fuzz ------------------------------------------------------------------------
@@ -898,8 +988,10 @@ def test_main_never_raises(program_files, argv):
         (["run", "--builtin", "function1", "--moduli", "8,9,7", "--bind", "X=7,Y=5"], 1),
         (["convert", "--moduli", "8,9,6", "--value", "3"], 2),
         (["run", "--program", "<reads ADD first>", "--moduli", "8,9,7"], 3),
+        (["run", "--builtin", "function1", "--moduli", "8,9,7", "--bind", "X=7,Y=5,Z=3",
+          "--trace"], 0),
     ],
-    ids=["ok", "usage", "validation", "run-fault"],
+    ids=["ok", "usage", "validation", "run-fault", "trace"],
 )
 def test_module_entry_point_exits_as_main_returns(capsys, tmp_path, argv, expected):
     path = tmp_path / "fault.txt"

@@ -613,12 +613,6 @@ def test_parse_tab_after_step_keyword():
     assert prog.steps == (Step(inject_a=1, emit=Source.IN1),)
 
 
-def test_parse_other_keyword_keeps_its_line_numbered_diagnostic():
-    with pytest.raises(ProgramParseError) as exc:
-        parse_program("PROG p\nSTEP a=1\nSTEPS\ta=2\nEND\n")
-    assert exc.value.diagnostics == [(3, "expected STEP line, got 'STEPS'")]
-
-
 @pytest.mark.parametrize(
     "text,diagnostics",
     [
@@ -638,21 +632,27 @@ def test_parse_ends_lines_only_at_lf_crlf_and_cr(text, diagnostics):
     assert exc.value.diagnostics == diagnostics
 
 
-def test_parse_missing_header():
+@pytest.mark.parametrize(
+    "text,diagnostics",
+    [
+        ("", [(1, "empty program: missing PROG header")]),
+        ("END\n", [(1, "expected 'PROG <name>' header"), (1, "missing END terminator")]),
+        ("PROG p\n", [(1, "missing END terminator")]),
+        ("STEP a=1\nEND\n", [(1, "expected 'PROG <name>' header")]),
+        ("PROG p\nSTEP a=1\n", [(2, "missing END terminator")]),
+        ("PROG p q\nEND\n", [(1, "expected 'PROG <name>' header")]),
+        ("PROG p\nEND\nEND\n", [(2, "expected STEP line, got 'END'")]),
+        ("PROG p\nSTEP a=1\nSTEPS\ta=2\nEND\n", [(3, "expected STEP line, got 'STEPS'")]),
+    ],
+    ids=[
+        "empty", "end-only", "header-only", "no-header", "no-end", "name-with-space",
+        "second-end", "other-keyword",
+    ],
+)
+def test_parse_program_level_diagnostics(text, diagnostics):
     with pytest.raises(ProgramParseError) as exc:
-        parse_program("STEP a=1\nEND\n")
-    assert any("PROG" in message for _, message in exc.value.diagnostics)
-
-
-def test_parse_missing_end():
-    with pytest.raises(ProgramParseError) as exc:
-        parse_program("PROG p\nSTEP a=1\n")
-    assert any("END" in message for _, message in exc.value.diagnostics)
-
-
-def test_parse_empty_text():
-    with pytest.raises(ProgramParseError):
-        parse_program("")
+        parse_program(text)
+    assert exc.value.diagnostics == diagnostics
 
 
 _sources = st.sampled_from([Source.IN1, Source.IN2, Source.ADD, Source.SUB, Source.MUL])
