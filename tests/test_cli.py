@@ -26,29 +26,436 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _usage_error(capsys, *argv):
+    """(exit, stdout, last stderr line): argparse wraps the usage block above
+    that line differently from one interpreter to another."""
+    code, out, err = invoke(capsys, *argv)
+    return code, out, err.splitlines()[-1]
+
+
+def _out(*lines):
+    return (0, "".join(f"{line}\n" for line in lines), "")
+
+
+def _error(message):
+    return (1, "", f"rnskit: error: {message}\n")
+
+
+def _invalid(message):
+    return (2, "", f"rnskit: validation error: {message}\n")
+
+
+def _fault(message):
+    return (3, "", f"rnskit: run fault: {message}\n")
+
+
+# --- exit code, stdout and stderr: one row per call ------------------------------
+
+CSV_HEADER = "bits,scheme,cardinality,moduli,bit_cost,note"
+NOTE_24_PROPOSED3 = (
+    "reference cell (256,257,255)/26 bits covers only 256*257*255 = 16776960, 255 short of "
+    "2^24-1 = 16777215; the range condition forces (258,259,257)/27 bits"
+)
+NOTE_32_SM2 = (
+    "reference cell (4096,4097,2047)/37 bits is not of the family form (2^n, 2^n-1, "
+    "2^(n-1)-1); the smallest covering member is (4096,4095,2047)/36 bits"
+)
+NOTE_32_PROPOSED5 = (
+    "reference cell (86,87,85,89,77)/35 bits skips candidate 83, which meets the root bound "
+    "83 and is coprime to 86, 87, 85; the smallest-admissible rule gives (86,87,85,83,89)/35 "
+    "bits, an equal cost"
+)
+GEN_32_6 = _out("moduli: 42,43,41,47,37,53", "bit_cost: 36", "dynamic_range: 6824597682")
+CSV_6_16 = _out(
+    CSV_HEADER,
+    "6,proposed3,3,6;7;5,9,",
+    "6,sm1,3,8;9;7,11,",
+    "16,proposed3,3,42;43;41,18,",
+    "16,sm1,3,64;65;63,20,",
+)
+MARKDOWN_6_16 = _out(
+    "| N | proposed3 | #bits | sm1 | #bits |",
+    "|---|---|---|---|---|",
+    "| 6 | (6,7,5) | 9 | (8,9,7) | 11 |",
+    "| 16 | (42,43,41) | 18 | (64,65,63) | 20 |",
+)
+CONVERT = ("convert", "--moduli", "8,9,7")
+FUNCTION1 = ("run", "--builtin", "function1", "--moduli", "8,9,7", "--bind")
+FUNCTION2 = ("run", "--builtin", "function2", "--moduli", "8,9,7", "--bind")
+RUN_PROGRAM = ("run", "--moduli", "8,9,7", "--program")
+PRIMES = [p for p in range(2, 320) if all(p % d for d in range(2, p))]
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        # gen: the set, its cost and its range; a width and count no set meets
+        pytest.param(("gen", "--bits", "32", "--count", "6"), GEN_32_6, id="gen-table-cell"),
+        pytest.param(
+            ("gen", "--bits", "16", "--count", "3"),
+            _out("moduli: 42,43,41", "bit_cost: 18", "dynamic_range: 74046"),
+            id="gen-triple",
+        ),
+        pytest.param(
+            ("gen", "--bits", "4", "--count", "7"),
+            _invalid("bits=4 with cardinality=7 forces modulus 1 < 2"),
+            id="gen-forces-a-modulus-below-2",
+        ),
+        pytest.param(
+            ("gen", "--bits", "-5", "--count", "3"),
+            _invalid("bits must be >= 2, got -5"),
+            id="gen-bits-below-2",
+        ),
+        pytest.param(
+            ("gen", "--bits", "16", "--count", "2"),
+            _invalid("cardinality must be >= 3, got 2"),
+            id="gen-count-below-3",
+        ),
+        pytest.param(
+            ("gen", "--bits", "x", "--count", "3"),
+            _error("bad bits 'x'"),
+            id="gen-non-decimal-bits",
+        ),
+        pytest.param(
+            ("gen", "--bits", "16", "--count", "٣"),
+            _error("bad count '٣'"),
+            id="gen-non-ascii-digit-count",
+        ),
+        pytest.param(
+            ("gen", "--bits", "8193", "--count", "3"),
+            _invalid("bits 8193 is over the limit of 8192"),
+            id="gen-bits-over-the-limit",
+        ),
+        pytest.param(
+            ("gen", "--bits", "128", "--count", "65"),
+            _invalid("count 65 is over the limit of 64"),
+            id="gen-count-over-the-limit",
+        ),
+        # compare: the paper's tables as CSV, with a deviation note in the cells
+        # that differ from the published ones, and as markdown with footnotes
+        pytest.param(
+            ("compare", "--bits", "6,10,16,24,32", "--schemes", "proposed3,sm1,sm2,sm3"),
+            _out(
+                CSV_HEADER,
+                "6,proposed3,3,6;7;5,9,",
+                "6,sm1,3,8;9;7,11,",
+                "6,sm2,3,8;7;3,9,",
+                "6,sm3,3,17;5;3,10,",
+                "10,proposed3,3,12;13;11,12,",
+                "10,sm1,3,16;17;15,14,",
+                "10,sm2,3,16;15;7,12,",
+                "10,sm3,3,65;9;7,14,",
+                "16,proposed3,3,42;43;41,18,",
+                "16,sm1,3,64;65;63,20,",
+                "16,sm2,3,64;63;31,18,",
+                "16,sm3,3,257;17;15,18,",
+                f'24,proposed3,3,258;259;257,27,"{NOTE_24_PROPOSED3}"',
+                "24,sm1,3,512;513;511,29,",
+                "24,sm2,3,512;511;255,27,",
+                "24,sm3,3,4097;65;63,26,",
+                "32,proposed3,3,1626;1627;1625,33,",
+                "32,sm1,3,2048;2049;2047,35,",
+                f'32,sm2,3,4096;4095;2047,36,"{NOTE_32_SM2}"',
+                "32,sm3,3,65537;257;255,34,",
+            ),
+            id="compare-three-moduli-table",
+        ),
+        pytest.param(
+            ("compare", "--bits", "16,20,32", "--schemes",
+             "proposed3,proposed4,proposed5,proposed6"),
+            _out(
+                CSV_HEADER,
+                "16,proposed3,3,42;43;41,18,",
+                "16,proposed4,4,16;17;15;19,19,",
+                "16,proposed5,5,10;11;9;13;7,19,",
+                "16,proposed6,6,8;9;7;11;5;13,22,",
+                "20,proposed3,3,102;103;101,21,",
+                "20,proposed4,4,32;33;31;35,23,",
+                "20,proposed5,5,16;17;15;19;23,24,",
+                "20,proposed6,6,12;13;11;17;7;19,25,",
+                "32,proposed3,3,1626;1627;1625,33,",
+                "32,proposed4,4,256;257;255;259,35,",
+                f'32,proposed5,5,86;87;85;83;89,35,"{NOTE_32_PROPOSED5}"',
+                "32,proposed6,6,42;43;41;47;37;53,36,",
+            ),
+            id="compare-cardinality-table",
+        ),
+        pytest.param(
+            ("compare", "--bits", "6,16", "--schemes", "proposed3,sm1"), CSV_6_16, id="compare-csv",
+        ),
+        pytest.param(
+            ("compare", "--bits", "6,16", "--schemes", "proposed3,sm1", "--format", "markdown"),
+            MARKDOWN_6_16,
+            id="compare-markdown",
+        ),
+        pytest.param(
+            ("compare", "--bits", "24", "--schemes", "proposed3", "--format", "markdown"),
+            _out(
+                "| N | proposed3 | #bits |",
+                "|---|---|---|",
+                "| 24 | (258,259,257)[^1] | 27 |",
+                "",
+                f"[^1]: 24/proposed3: {NOTE_24_PROPOSED3}",
+            ),
+            id="compare-markdown-footnotes-deviation",
+        ),
+        # widths repeat: one CSV row per (width, scheme) pair, duplicates
+        # included, up to the cell limit; markdown shows a pair once
+        pytest.param(
+            ("compare", "--bits", "16,16", "--schemes", "sm1,sm1"),
+            _out(CSV_HEADER, *["16,sm1,3,64;65;63,20,"] * 4),
+            id="compare-repeats-a-pair-in-csv",
+        ),
+        pytest.param(
+            ("compare", "--bits", "16,16", "--schemes", "sm1,sm1", "--format", "markdown"),
+            _out("| N | sm1 | #bits |", "|---|---|---|", "| 16 | (64,65,63) | 20 |"),
+            id="compare-shows-a-pair-once-in-markdown",
+        ),
+        pytest.param(
+            ("compare", "--bits", ",".join(["16"] * MAX_COMPARE_CELLS), "--schemes", "sm1"),
+            _out(CSV_HEADER, *["16,sm1,3,64;65;63,20,"] * MAX_COMPARE_CELLS),
+            id="compare-at-the-cell-limit",
+        ),
+        # a width below 2 is a validation error, a bad scheme label a usage error
+        pytest.param(
+            ("compare", "--bits", "1", "--schemes", "sm1"),
+            _invalid("bits must be >= 2, got 1"),
+            id="baseline-bits-below-2",
+        ),
+        pytest.param(
+            ("compare", "--bits", "16,8193", "--schemes", "sm1"),
+            _invalid("bits 8193 is over the limit of 8192"),
+            id="compare-bits-over-the-limit",
+        ),
+        pytest.param(
+            ("compare", "--bits", "16,1.5", "--schemes", "sm1"),
+            _error("bad bits '1.5'"),
+            id="compare-non-decimal-bits",
+        ),
+        pytest.param(
+            ("compare", "--bits", "16", "--schemes", "proposed-3"),
+            _error("cardinality must be >= 3, got -3"),
+            id="scheme-cardinality-negative",
+        ),
+        pytest.param(
+            ("compare", "--bits", "16", "--schemes", "proposed2"),
+            _error("cardinality must be >= 3, got 2"),
+            id="scheme-cardinality-below-3",
+        ),
+        pytest.param(
+            ("compare", "--bits", "16", "--schemes", "proposed7"),
+            _error("unknown scheme 'proposed7'"),
+            id="scheme-proposed7-unknown",
+        ),
+        # an empty list item is skipped; a list of nothing but empty items is an error
+        pytest.param(
+            ("compare", "--bits", "16", "--schemes", "sm1,,sm2"),
+            _out(CSV_HEADER, "16,sm1,3,64;65;63,20,", "16,sm2,3,64;63;31,18,"),
+            id="empty-scheme-skipped",
+        ),
+        pytest.param(
+            ("compare", "--bits", "16", "--schemes", ","),
+            _error("empty schemes list"),
+            id="no-scheme",
+        ),
+        pytest.param(
+            ("compare", "--bits", "16", "--schemes", ",,"),
+            _error("empty schemes list"),
+            id="no-schemes",
+        ),
+        pytest.param(
+            ("compare", "--bits", "16", "--schemes", "sm9"),
+            _error("unknown scheme 'sm9'"),
+            id="unknown-scheme",
+        ),
+        pytest.param(
+            ("compare", "--bits", "", "--schemes", "sm1"),
+            _error("empty bits list"),
+            id="empty-bits",
+        ),
+        pytest.param(
+            ("compare", "--bits", "16", "--schemes", "sm9,,"),
+            _error("unknown scheme 'sm9'"),
+            id="unknown-scheme-before-empty-items",
+        ),
+        # convert: both directions, a warning when a value wraps, and a number
+        # out of range is a validation error wherever it enters, a negative one too
+        pytest.param((*CONVERT, "--value", "36"), _out("4,0,1"), id="convert-forward"),
+        pytest.param((*CONVERT, "--residues", "4,0,1"), _out("36"), id="convert-reverse"),
+        pytest.param(
+            (*CONVERT, "--value", "504"),
+            (0, "0,0,0\n", "warning: value 504 >= dynamic range 504; reduced modulo the range\n"),
+            id="convert-warns-on-large-value",
+        ),
+        pytest.param(
+            ("convert", "--moduli", "6,9,5", "--value", "1"),
+            _invalid("moduli 6 and 9 are not coprime (gcd = 3)"),
+            id="convert-invalid-set",
+        ),
+        pytest.param(
+            (*CONVERT, "--value", "-5"),
+            _invalid("value must be >= 0, got -5"),
+            id="value-below-0",
+        ),
+        pytest.param(
+            ("convert", "--moduli", "8,-9,7", "--value", "5"),
+            _invalid("modulus -9 < 2"),
+            id="negative-modulus",
+        ),
+        pytest.param(
+            (*CONVERT, "--residues", "4,-1,1"),
+            _invalid("residue -1 out of range for modulus 9"),
+            id="negative-residue",
+        ),
+        pytest.param(
+            (*CONVERT, "--residues", "8,0,0"),
+            _invalid("residue 8 out of range for modulus 8"),
+            id="residue-out-of-range",
+        ),
+        # a list that begins with "-" is passed as --flag=value, which argparse
+        # never reads as an option
+        pytest.param(
+            (*CONVERT, "--residues=-5,0,0"),
+            _invalid("residue -5 out of range for modulus 8"),
+            id="leading-minus-list-after-equals",
+        ),
+        pytest.param(
+            ("convert", "--moduli", "8,9,x", "--value", "5"),
+            _error("bad moduli 'x'"),
+            id="convert-non-decimal-modulus",
+        ),
+        pytest.param(
+            (*CONVERT, "--residues", "4,²,1"),
+            _error("bad residues '²'"),
+            id="convert-non-ascii-digit-residue",
+        ),
+        pytest.param(
+            (*CONVERT, "--value", "abc"),
+            _error("bad value 'abc'"),
+            id="convert-non-decimal-value",
+        ),
+        pytest.param(
+            ("convert", "--moduli", ",".join(map(str, PRIMES[:64])), "--value", "5"),
+            _out(",".join(["1", "2", "0"] + ["5"] * 61)),
+            id="convert-moduli-at-the-limit",
+        ),
+        pytest.param(
+            ("convert", "--moduli", ",".join(map(str, PRIMES[:65])), "--value", "5"),
+            _invalid("number of moduli 65 is over the limit of 64"),
+            id="convert-moduli-over-the-limit",
+        ),
+        pytest.param(
+            ("convert", "--moduli", f"{2**12287 - 1},2", "--value", "5"),
+            _out("5,1"),
+            id="convert-range-at-the-limit",
+        ),
+        pytest.param(
+            ("convert", "--moduli", f"{2**12287 + 1},2", "--value", "5"),
+            _invalid("dynamic range bits 12289 is over the limit of 12288"),
+            id="convert-range-over-the-limit",
+        ),
+        pytest.param(
+            ("convert", "--moduli", f"{2**12287 - 1},2", "--residues", f"{2**12287 - 2},1"),
+            _out(str(2**12288 - 3)),
+            id="widest-range-prints-every-digit",
+        ),
+        # run: the built-ins and a program file, with --trace on stderr
+        pytest.param((*FUNCTION1, "X=7,Y=5,Z=3"), _out("36"), id="run-function1"),
+        pytest.param((*FUNCTION2, "X=3,E=4"), _out("81"), id="run-function2"),
+        pytest.param(
+            (*FUNCTION1, "X=7,Y=5,Z=3", "--trace"),
+            (
+                0,
+                "36\n",
+                "step 0: IN1=(7,7,0) IN2=(5,5,5) ADD=(4,3,5) SUB=- MUL=-\n"
+                "step 1: IN1=(7,7,0) IN2=(3,3,3) ADD=(4,3,5) SUB=- MUL=(4,0,1)\n",
+            ),
+            id="run-trace-goes-to-stderr",
+        ),
+        pytest.param(
+            (*RUN_PROGRAM, "PROG double\nSTEP a=$V b=$V add=IN1,IN2 emit=ADD\nEND\n",
+             "--bind", "V=21"),
+            _out("42"),
+            id="run-program-file",
+        ),
+        pytest.param(
+            (*FUNCTION1, "X=1,,Y=2", "--bind", ",", "--bind", "Z=3"),
+            _out("9"),
+            id="empty-bindings-skipped",
+        ),
+        pytest.param((*FUNCTION2, "X=3,E=4096"), _out("81"), id="run-exponent-at-the-limit"),
+        pytest.param(
+            (*FUNCTION2, "X=3,E=4097"),
+            _invalid("exponent E 4097 is over the limit of 4096"),
+            id="run-exponent-over-the-limit",
+        ),
+        pytest.param(
+            (*FUNCTION1, "X=7,Y=5"),
+            _error("unbound placeholder $Z"),
+            id="run-unbound-placeholder",
+        ),
+        pytest.param(
+            (*FUNCTION2, "X=3"),
+            _error("function2 needs a binding for E (the exponent)"),
+            id="run-missing-function2-exponent",
+        ),
+        pytest.param(
+            (*FUNCTION1, "X=²,Y=1,Z=1"),
+            _error("bad binding 'X=²' (expected NAME=UNSIGNED)"),
+            id="run-non-ascii-digit-binding",
+        ),
+        pytest.param(
+            (*FUNCTION2, "X=3,E=-1"),
+            _error("bad binding 'E=-1' (expected NAME=UNSIGNED)"),
+            id="run-negative-binding",
+        ),
+        # a run that faults prints no outputs and no --trace lines
+        pytest.param(
+            (*RUN_PROGRAM, "PROG fault\nSTEP add=ADD,IN1\nEND\n", "--trace"),
+            _fault("step 0: read of undefined latch ADD"),
+            id="fault-at-step-0",
+        ),
+        pytest.param(
+            (*RUN_PROGRAM, "PROG p\nSTEP a=5 emit=IN1\nSTEP add=ADD,IN1\nEND\n", "--trace"),
+            _fault("step 1: read of undefined latch ADD"),
+            id="fault-at-step-1",
+        ),
+        pytest.param(
+            (*RUN_PROGRAM, "PROG p\nSTEP emit=MUL\nEND\n"),
+            _fault("step 0: read of undefined latch MUL"),
+            id="fault-at-emit",
+        ),
+        # one line-numbered diagnostic per bad line; emit takes one source,
+        # so its comma is part of the token
+        pytest.param(
+            (*RUN_PROGRAM, "PROG bad\nSTEP emit=IN1,IN2\nSTEP add=IN1\nEND\n"),
+            (
+                1,
+                "",
+                "rnskit: parse error: line 2: unknown source token 'IN1,IN2'\n"
+                "rnskit: parse error: line 3: field 'add' needs exactly two sources\n",
+            ),
+            id="parse-errors-on-two-lines",
+        ),
+        pytest.param(
+            (*RUN_PROGRAM, "PROG p\nSTEP add=IN1,BAD\nEND\n"),
+            (1, "", "rnskit: parse error: line 2: unknown source token 'BAD'\n"),
+            id="parse-error-bad-token",
+        ),
+    ],
+)
+def test_exit_code_stdout_and_stderr(capsys, tmp_path, argv, expected):
+    # the value after --program in a row is the program's text, run from a file
+    argv = list(argv)
+    if "--program" in argv:
+        path = tmp_path / "prog.txt"
+        at = argv.index("--program") + 1
+        path.write_text(argv[at])
+        argv[at] = str(path)
+    assert invoke(capsys, *argv) == expected
+
+
 # --- gen -------------------------------------------------------------------------
-
-
-def test_gen_table_cell(capsys):
-    code, out, _ = invoke(capsys, "gen", "--bits", "32", "--count", "6")
-    assert code == 0
-    assert "moduli: 42,43,41,47,37,53" in out
-    assert "bit_cost: 36" in out
-
-
-def test_gen_triple(capsys):
-    code, out, _ = invoke(capsys, "gen", "--bits", "16", "--count", "3")
-    assert code == 0
-    assert "moduli: 42,43,41" in out
-    assert "bit_cost: 18" in out
-
-
-def test_gen_trace(capsys):
-    code, out, _ = invoke(capsys, "gen", "--bits", "32", "--count", "6", "--trace")
-    assert code == 0
-    assert "x: 41" in out
-    assert "center: 42" in out
-    assert "k[1]: 58005 root=39 chosen=47" in out
 
 
 GEN_TRACE_OUTPUTS = {
@@ -108,50 +515,15 @@ def test_gen_trace_full_output(capsys, bits, count):
     assert out == "".join(line + "\n" for line in GEN_TRACE_OUTPUTS[bits, count])
 
 
-def test_gen_validation_failure_exits_2(capsys):
-    code, _, err = invoke(capsys, "gen", "--bits", "4", "--count", "7")
-    assert code == 2
-    assert "validation" in err
-
-
 # --- compare ---------------------------------------------------------------------
 
 
-def test_compare_three_moduli_table(capsys):
-    code, out, _ = invoke(
-        capsys,
-        "compare", "--bits", "6,10,16,24,32", "--schemes", "proposed3,sm1,sm2,sm3",
-    )
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "bits,scheme,cardinality,moduli,bit_cost,note"
-    assert "6,proposed3,3,6;7;5,9," in lines
-    assert "32,sm1,3,2048;2049;2047,35," in lines
-    assert "16,sm3,3,257;17;15,18," in lines
-    noted = [line for line in lines if "reference cell" in line]
-    assert len(noted) == 2  # 24/proposed3 and 32/sm2
-
-
-def test_compare_cardinality_table(capsys):
-    code, out, _ = invoke(
-        capsys,
-        "compare", "--bits", "16,20,32",
-        "--schemes", "proposed3,proposed4,proposed5,proposed6",
-    )
-    assert code == 0
-    lines = out.splitlines()
-    assert "16,proposed6,6,8;9;7;11;5;13,22," in lines
-    assert "20,proposed5,5,16;17;15;19;23,24," in lines
-    noted = [line for line in lines if "reference cell" in line]
-    assert len(noted) == 1  # 32/proposed5
-
-
 def test_compare_csv_roundtrip(capsys):
-    code, out, _ = invoke(
+    code, out, err = invoke(
         capsys,
         "compare", "--bits", "6,24,32", "--schemes", "proposed3,sm2",
     )
-    assert code == 0
+    assert (code, err) == (0, "")
     rows = rows_from_csv(out)
     assert rows == comparison_rows(
         [6, 24, 32], [SchemeId.parse("proposed3"), SchemeId.parse("sm2")]
@@ -273,26 +645,6 @@ def test_rows_from_csv_names_the_bad_record_s_own_line_after_a_multiline_note():
     assert str(exc.value) == "line 4: bad bits 'x'"
 
 
-def test_compare_markdown(capsys):
-    code, out, _ = invoke(
-        capsys,
-        "compare", "--bits", "6,16", "--schemes", "proposed3,sm1",
-        "--format", "markdown",
-    )
-    assert code == 0
-    assert out.splitlines()[0].startswith("| N | proposed3 | #bits | sm1 | #bits |")
-    assert "| 6 | (6,7,5) | 9 | (8,9,7) | 11 |" in out
-
-
-def test_compare_markdown_footnotes_deviation(capsys):
-    _, out, _ = invoke(
-        capsys, "compare", "--bits", "24", "--schemes", "proposed3",
-        "--format", "markdown",
-    )
-    assert "[^1]" in out
-    assert "reference cell (256,257,255)" in out
-
-
 def test_compare_baseline_bit_costs_at_the_least_and_the_most_bits(capsys):
     code, out, err = invoke(capsys, "compare", "--bits", "2,8192", "--schemes", "sm1,sm2,sm3")
     assert (code, err) == (0, "")
@@ -300,25 +652,7 @@ def test_compare_baseline_bit_costs_at_the_least_and_the_most_bits(capsys):
     assert costs == ["8", "9", "10", "8195", "8196", "8194"]
 
 
-def test_compare_is_deterministic(capsys):
-    first = invoke(capsys, "compare", "--bits", "6,16", "--schemes", "proposed3,sm1")
-    second = invoke(capsys, "compare", "--bits", "6,16", "--schemes", "proposed3,sm1")
-    assert first == second
-
-
 # --- convert ---------------------------------------------------------------------
-
-
-def test_convert_forward(capsys):
-    code, out, _ = invoke(capsys, "convert", "--moduli", "8,9,7", "--value", "36")
-    assert code == 0
-    assert out.strip() == "4,0,1"
-
-
-def test_convert_reverse(capsys):
-    code, out, _ = invoke(capsys, "convert", "--moduli", "8,9,7", "--residues", "4,0,1")
-    assert code == 0
-    assert out.strip() == "36"
 
 
 def test_readme_convert_examples_print_their_outputs(capsys):
@@ -329,42 +663,26 @@ def test_readme_convert_examples_print_their_outputs(capsys):
         assert invoke(capsys, *argv.split()) == (0, expected + "\n", "")
 
 
-def test_convert_invalid_set_exits_2(capsys):
-    code, _, err = invoke(capsys, "convert", "--moduli", "6,9,5", "--value", "1")
-    assert code == 2
-    assert "coprime" in err
-
-
-def test_convert_warns_on_large_value(capsys):
-    code, out, err = invoke(capsys, "convert", "--moduli", "8,9,7", "--value", "504")
-    assert code == 0
-    assert out.strip() == "0,0,0"
-    assert "warning" in err
-
-
 def _wraps(value):
     return f"warning: value {value} >= dynamic range 504; reduced modulo the range\n"
 
 
 def test_run_warns_once_per_bound_value_that_wraps(capsys):
-    function1 = ("run", "--builtin", "function1", "--moduli", "8,9,7", "--bind")
     # X is injected as 1000 mod 504 = 496, with convert's warning text
-    assert invoke(capsys, *function1, "X=1000,Y=0,Z=1") == (0, "496\n", _wraps(1000))
-    convert = ("convert", "--moduli", "8,9,7", "--value", "1000")
-    assert invoke(capsys, *convert) == (0, "0,1,6\n", _wraps(1000))
+    assert invoke(capsys, *FUNCTION1, "X=1000,Y=0,Z=1") == (0, "496\n", _wraps(1000))
+    assert invoke(capsys, *CONVERT, "--value", "1000") == (0, "0,1,6\n", _wraps(1000))
     # each binding the program reads, in step order; W is not read
     expected = (0, "0\n", _wraps(600) + _wraps(504))
-    assert invoke(capsys, *function1, "W=9999,Z=504,Y=600,X=7") == expected
+    assert invoke(capsys, *FUNCTION1, "W=9999,Z=504,Y=600,X=7") == expected
     # function2 reads X in both converters and warns once; E is no injection
-    run2 = ("run", "--builtin", "function2", "--moduli", "8,9,7", "--bind")
-    assert invoke(capsys, *run2, "X=505,E=1000") == (0, "1\n", _wraps(505))
+    assert invoke(capsys, *FUNCTION2, "X=505,E=1000") == (0, "1\n", _wraps(505))
     # every binding is below the range: the product wraps in the ring, unwarned
-    assert invoke(capsys, *function1, "X=500,Y=500,Z=500") == (0, "32\n", "")
+    assert invoke(capsys, *FUNCTION1, "X=500,Y=500,Z=500") == _out("32")
 
 
 def test_run_warns_once_per_literal_injection_that_wraps(capsys, tmp_path):
     path = tmp_path / "wrap.txt"
-    program = ("run", "--program", str(path), "--moduli", "8,9,7")
+    program = (*RUN_PROGRAM, str(path))
     path.write_text("PROG p\nSTEP a=1000 emit=IN1\nEND\n")
     assert invoke(capsys, *program) == (0, "496\n", _wraps(1000))
     # the bindings first, then each distinct literal in step order, a before b;
@@ -377,102 +695,20 @@ def test_run_warns_once_per_literal_injection_that_wraps(capsys, tmp_path):
     assert invoke(capsys, *program) == (0, "503\n", "")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("convert", "--moduli", "8,9,x", "--value", "5"),
-        ("convert", "--moduli", "8,9,7", "--residues", "4,\u00b2,1"),
-        ("compare", "--bits", "16,1.5", "--schemes", "sm1"),
-        ("gen", "--bits", "16", "--count", "\u0663"),
-    ],
-)
-def test_non_decimal_numbers_exit_1(capsys, argv):
-    code, out, err = invoke(capsys, *argv)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("rnskit: error:")
-
-
 def test_convert_requires_direction(capsys):
-    code, _, _ = invoke(capsys, "convert", "--moduli", "8,9,7")
-    assert code == 1
+    assert _usage_error(capsys, *CONVERT) == (
+        1, "", "rnskit convert: error: one of the arguments --value --residues is required")
 
 
 # --- run -------------------------------------------------------------------------
 
 
-def test_run_builtin_function1(capsys):
-    code, out, _ = invoke(
-        capsys,
-        "run", "--builtin", "function1", "--moduli", "8,9,7",
-        "--bind", "X=7,Y=5,Z=3",
-    )
-    assert code == 0
-    assert out.strip() == "36"
-
-
-def test_run_builtin_function2(capsys):
-    code, out, _ = invoke(
-        capsys,
-        "run", "--builtin", "function2", "--moduli", "8,9,7",
-        "--bind", "X=3,E=4",
-    )
-    assert code == 0
-    assert out.strip() == "81"
-
-
-def test_run_unbound_placeholder_exits_1(capsys):
-    code, _, err = invoke(
-        capsys,
-        "run", "--builtin", "function1", "--moduli", "8,9,7",
-        "--bind", "X=7,Y=5",
-    )
-    assert code == 1
-    assert "$Z" in err
-
-
-def test_run_non_ascii_digit_binding_exits_1(capsys):
-    code, out, err = invoke(
-        capsys,
-        "run", "--builtin", "function1", "--moduli", "8,9,7",
-        "--bind", "X=\u00b2,Y=1,Z=1",
-    )
-    assert code == 1
-    assert out == ""
-    assert err.startswith("rnskit: error:")
-    assert "Traceback" not in err
-
-
-def test_run_negative_binding_exits_1(capsys):
-    code, _, err = invoke(
-        capsys,
-        "run", "--builtin", "function2", "--moduli", "8,9,7", "--bind", "X=3,E=-1",
-    )
-    assert code == 1
-    assert "E=-1" in err
-
-
-def test_run_program_file(capsys, tmp_path):
-    path = tmp_path / "prog.txt"
-    path.write_text("PROG double\nSTEP a=$V b=$V add=IN1,IN2 emit=ADD\nEND\n")
-    code, out, _ = invoke(
-        capsys,
-        "run", "--program", str(path), "--moduli", "8,9,7", "--bind", "V=21",
-    )
-    assert code == 0
-    assert out.strip() == "42"
-
-
 def test_run_program_not_utf8_exits_1(capsys, tmp_path):
     path = tmp_path / "binary.bin"
     path.write_bytes(b"\x7fELF\x02\x01\x01\x00\xff\xfe\xc3\x28")
-    code, out, err = invoke(
-        capsys, "run", "--program", str(path), "--moduli", "8,9,7",
-    )
-    assert code == 1
-    assert out == ""
-    assert err.startswith("rnskit: error:")
-    assert "Traceback" not in err
+    # stderr names the temporary file, so this call cannot be a row
+    assert invoke(capsys, *RUN_PROGRAM, str(path)) == _error(
+        f"{path}: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte")
 
 
 def test_run_program_after_a_utf8_byte_order_mark(capsys, tmp_path):
@@ -483,18 +719,6 @@ def test_run_program_after_a_utf8_byte_order_mark(capsys, tmp_path):
     path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
     argv = ("run", "--program", str(path), "--moduli", "8,9,7", "--bind", "X=7,Y=5,Z=3")
     assert invoke(capsys, *argv) == (0, "36\n", "")
-
-
-def test_run_trace_goes_to_stderr(capsys):
-    code, out, err = invoke(
-        capsys,
-        "run", "--builtin", "function1", "--moduli", "8,9,7",
-        "--bind", "X=7,Y=5,Z=3", "--trace",
-    )
-    assert code == 0
-    assert out.strip() == "36"
-    assert "step 0:" in err
-    assert "IN1=(7,7,0)" in err
 
 
 @pytest.mark.parametrize(
@@ -515,198 +739,10 @@ def test_run_builtin_traces_one_line_per_cycle(capsys, builtin, bind, output, st
 
 
 def test_run_unknown_builtin_exits_1(capsys):
-    code, out, err = invoke(capsys, "run", "--builtin", "bogus", "--moduli", "8,9,7")
+    # later patch releases spell the choice list after this text differently
+    code, out, last = _usage_error(capsys, "run", "--builtin", "bogus", "--moduli", "8,9,7")
     assert (code, out) == (1, "")
-    assert "argument --builtin: invalid choice: 'bogus'" in err
-
-
-def test_run_missing_function2_exponent_exits_1(capsys):
-    code, _, err = invoke(
-        capsys,
-        "run", "--builtin", "function2", "--moduli", "8,9,7", "--bind", "X=3",
-    )
-    assert code == 1
-    assert "E" in err
-
-
-# --- exit code, stdout and stderr -----------------------------------------------
-
-
-def _error(message):
-    return (1, "", f"rnskit: error: {message}\n")
-
-
-def _invalid(message):
-    return (2, "", f"rnskit: validation error: {message}\n")
-
-
-def _fault(message):
-    return (3, "", f"rnskit: run fault: {message}\n")
-
-
-CONVERT = ("convert", "--moduli", "8,9,7")
-RUN_PROGRAM = ("run", "--moduli", "8,9,7", "--program")
-
-
-@pytest.mark.parametrize(
-    "argv,expected",
-    [
-        # a run that faults prints no outputs and no --trace lines
-        pytest.param(
-            (*RUN_PROGRAM, "PROG fault\nSTEP add=ADD,IN1\nEND\n", "--trace"),
-            _fault("step 0: read of undefined latch ADD"),
-            id="fault-at-step-0",
-        ),
-        pytest.param(
-            (*RUN_PROGRAM, "PROG p\nSTEP a=5 emit=IN1\nSTEP add=ADD,IN1\nEND\n", "--trace"),
-            _fault("step 1: read of undefined latch ADD"),
-            id="fault-at-step-1",
-        ),
-        pytest.param(
-            (*RUN_PROGRAM, "PROG p\nSTEP emit=MUL\nEND\n"),
-            _fault("step 0: read of undefined latch MUL"),
-            id="fault-at-emit",
-        ),
-        # one line-numbered diagnostic per bad line; emit takes one source,
-        # so its comma is part of the token
-        pytest.param(
-            (*RUN_PROGRAM, "PROG bad\nSTEP emit=IN1,IN2\nSTEP add=IN1\nEND\n"),
-            (
-                1,
-                "",
-                "rnskit: parse error: line 2: unknown source token 'IN1,IN2'\n"
-                "rnskit: parse error: line 3: field 'add' needs exactly two sources\n",
-            ),
-            id="parse-errors-on-two-lines",
-        ),
-        pytest.param(
-            (*RUN_PROGRAM, "PROG p\nSTEP add=IN1,BAD\nEND\n"),
-            (1, "", "rnskit: parse error: line 2: unknown source token 'BAD'\n"),
-            id="parse-error-bad-token",
-        ),
-        # a number out of range is a validation error wherever it enters, a negative one too
-        pytest.param(
-            (*CONVERT, "--value", "-5"),
-            _invalid("value must be >= 0, got -5"),
-            id="value-below-0",
-        ),
-        pytest.param(
-            ("convert", "--moduli", "8,-9,7", "--value", "5"),
-            _invalid("modulus -9 < 2"),
-            id="negative-modulus",
-        ),
-        pytest.param(
-            (*CONVERT, "--residues", "4,-1,1"),
-            _invalid("residue -1 out of range for modulus 9"),
-            id="negative-residue",
-        ),
-        pytest.param(
-            ("gen", "--bits", "-5", "--count", "3"),
-            _invalid("bits must be >= 2, got -5"),
-            id="gen-bits-below-2",
-        ),
-        pytest.param(
-            (*CONVERT, "--residues", "8,0,0"),
-            _invalid("residue 8 out of range for modulus 8"),
-            id="residue-out-of-range",
-        ),
-        pytest.param(
-            ("gen", "--bits", "16", "--count", "2"),
-            _invalid("cardinality must be >= 3, got 2"),
-            id="gen-count-below-3",
-        ),
-        # a list that begins with "-" is passed as --flag=value, which argparse
-        # never reads as an option
-        pytest.param(
-            (*CONVERT, "--residues=-5,0,0"),
-            _invalid("residue -5 out of range for modulus 8"),
-            id="leading-minus-list-after-equals",
-        ),
-        # compare: a width below 2 is a validation error, a bad scheme label a usage error
-        pytest.param(
-            ("compare", "--bits", "1", "--schemes", "sm1"),
-            _invalid("bits must be >= 2, got 1"),
-            id="baseline-bits-below-2",
-        ),
-        pytest.param(
-            ("compare", "--bits", "16", "--schemes", "proposed-3"),
-            _error("cardinality must be >= 3, got -3"),
-            id="scheme-cardinality-negative",
-        ),
-        pytest.param(
-            ("compare", "--bits", "16", "--schemes", "proposed2"),
-            _error("cardinality must be >= 3, got 2"),
-            id="scheme-cardinality-below-3",
-        ),
-        pytest.param(
-            ("compare", "--bits", "16", "--schemes", "proposed7"),
-            _error("unknown scheme 'proposed7'"),
-            id="scheme-proposed7-unknown",
-        ),
-        # an empty list item is skipped; a list of nothing but empty items is an error
-        pytest.param(
-            ("compare", "--bits", "16", "--schemes", "sm1,,sm2"),
-            (
-                0,
-                "bits,scheme,cardinality,moduli,bit_cost,note\n"
-                "16,sm1,3,64;65;63,20,\n16,sm2,3,64;63;31,18,\n",
-                "",
-            ),
-            id="empty-scheme-skipped",
-        ),
-        pytest.param(
-            ("compare", "--bits", "16", "--schemes", ","),
-            _error("empty schemes list"),
-            id="no-scheme",
-        ),
-        pytest.param(
-            ("compare", "--bits", "16", "--schemes", ",,"),
-            _error("empty schemes list"),
-            id="no-schemes",
-        ),
-        pytest.param(
-            ("compare", "--bits", "16", "--schemes", "sm9"),
-            _error("unknown scheme 'sm9'"),
-            id="unknown-scheme",
-        ),
-        pytest.param(
-            ("compare", "--bits", "", "--schemes", "sm1"),
-            _error("empty bits list"),
-            id="empty-bits",
-        ),
-        pytest.param(
-            ("gen", "--bits", "x", "--count", "3"),
-            _error("bad bits 'x'"),
-            id="gen-non-decimal-bits",
-        ),
-        pytest.param(
-            (*CONVERT, "--value", "abc"),
-            _error("bad value 'abc'"),
-            id="convert-non-decimal-value",
-        ),
-        pytest.param(
-            ("compare", "--bits", "16", "--schemes", "sm9,,"),
-            _error("unknown scheme 'sm9'"),
-            id="unknown-scheme-before-empty-items",
-        ),
-        pytest.param(
-            ("run", "--builtin", "function1", "--moduli", "8,9,7",
-             "--bind", "X=1,,Y=2", "--bind", ",", "--bind", "Z=3"),
-            (0, "9\n", ""),
-            id="empty-bindings-skipped",
-        ),
-    ],
-)
-def test_exit_code_stdout_and_stderr(capsys, tmp_path, argv, expected):
-    # the value after --program in a row is the program's text, run from a file
-    argv = list(argv)
-    if "--program" in argv:
-        path = tmp_path / "prog.txt"
-        at = argv.index("--program") + 1
-        path.write_text(argv[at])
-        argv[at] = str(path)
-    code, out, err = invoke(capsys, *argv)
-    assert (code, out, err) == expected
+    assert "argument --builtin: invalid choice: 'bogus'" in last
 
 
 # --- one parser per process ------------------------------------------------------
@@ -717,35 +753,21 @@ def test_parser_is_built_once():
 
 
 def test_consecutive_runs_keep_only_their_own_bindings(capsys):
-    run = ("run", "--builtin", "function1", "--moduli", "8,9,7")
-    assert invoke(capsys, *run, "--bind", "X=7,Y=5", "--bind", "Z=3") == (0, "36\n", "")
-    assert invoke(capsys, *run, "--bind", "X=1,Y=2,Z=4") == (0, "12\n", "")
-    code, out, err = invoke(capsys, *run, "--bind", "X=1,Y=2")
-    assert (code, out) == (1, "")
-    assert "Z" in err
+    assert invoke(capsys, *FUNCTION1, "X=7,Y=5", "--bind", "Z=3") == _out("36")
+    assert invoke(capsys, *FUNCTION1, "X=1,Y=2,Z=4") == _out("12")
+    assert invoke(capsys, *FUNCTION1, "X=1,Y=2") == _error("unbound placeholder $Z")
 
 
 def test_compare_format_does_not_carry_over(capsys):
     compare = ("compare", "--bits", "6,16", "--schemes", "proposed3,sm1")
-    code, out, _ = invoke(capsys, *compare, "--format", "markdown")
-    assert code == 0 and out.startswith("| N |")
-    code, out, _ = invoke(capsys, *compare)
-    assert code == 0
-    assert out.splitlines()[0] == "bits,scheme,cardinality,moduli,bit_cost,note"
+    assert invoke(capsys, *compare, "--format", "markdown") == MARKDOWN_6_16
+    assert invoke(capsys, *compare) == CSV_6_16
 
 
 def test_bad_flag_then_valid_call(capsys):
-    code, _, err = invoke(capsys, "gen", "--bits", "32", "--count", "6", "--nope")
-    assert code == 1 and "unrecognized arguments" in err
-    code, out, _ = invoke(capsys, "gen", "--bits", "32", "--count", "6")
-    assert code == 0
-    assert "moduli: 42,43,41,47,37,53" in out
-
-
-def test_markdown_rows_render():
-    rows = comparison_rows([6], [SchemeId.parse("proposed3")])
-    text = rows_to_markdown(rows)
-    assert "(6,7,5)" in text
+    assert _usage_error(capsys, "gen", "--bits", "32", "--count", "6", "--nope") == (
+        1, "", "rnskit: error: unrecognized arguments: --nope")
+    assert invoke(capsys, "gen", "--bits", "32", "--count", "6") == GEN_32_6
 
 
 def test_markdown_keeps_first_seen_order_of_bits_and_schemes():
@@ -760,48 +782,23 @@ def test_markdown_keeps_first_seen_order_of_bits_and_schemes():
 
 
 # --- input limits ----------------------------------------------------------------
-
-PRIMES = [p for p in range(2, 320) if all(p % d for d in range(2, p))]
+#
+# Each limit is a pair of rows in the table above, at the bound and past it,
+# but for these three calls at the bound: their stdout is a moduli set or a
+# table of wide sets.
 
 
 @pytest.mark.parametrize(
-    "argv, expected",
+    "argv",
     [
-        (("gen", "--bits", "8192", "--count", "3"), 0),
-        (("gen", "--bits", "8193", "--count", "3"), 2),
-        (("gen", "--bits", "128", "--count", "64"), 0),
-        (("gen", "--bits", "128", "--count", "65"), 2),
-        (("compare", "--bits", "8192", "--schemes", "sm1"), 0),
-        (("compare", "--bits", "16,8193", "--schemes", "sm1"), 2),
-        (("run", "--builtin", "function2", "--moduli", "8,9,7", "--bind", "X=3,E=4096"), 0),
-        (("run", "--builtin", "function2", "--moduli", "8,9,7", "--bind", "X=3,E=4097"), 2),
-        (("convert", "--moduli", ",".join(map(str, PRIMES[:64])), "--value", "5"), 0),
-        (("convert", "--moduli", ",".join(map(str, PRIMES[:65])), "--value", "5"), 2),
-        (("convert", "--moduli", f"{2**12287 - 1},2", "--value", "5"), 0),
-        (("convert", "--moduli", f"{2**12287 + 1},2", "--value", "5"), 2),
+        ("gen", "--bits", "8192", "--count", "3"),
+        ("gen", "--bits", "128", "--count", "64"),
+        ("compare", "--bits", "8192", "--schemes", "sm1"),
     ],
 )
-def test_limits_at_and_past_the_bound(capsys, argv, expected):
+def test_limits_at_the_bound_exit_0_with_no_stderr(capsys, argv):
     code, _, err = invoke(capsys, *argv)
-    assert code == expected, err
-    if expected == 2:
-        assert "over the limit" in err
-
-
-def test_compare_at_the_cell_limit_prints_every_row(capsys):
-    # widths repeat: one row per (width, scheme) pair, duplicates included
-    argv = ("compare", "--bits", ",".join(["16"] * MAX_COMPARE_CELLS), "--schemes", "sm1")
-    code, out, err = invoke(capsys, *argv)
     assert (code, err) == (0, "")
-    assert out.count("\n16,sm1,") == MAX_COMPARE_CELLS
-
-
-def test_compare_repeats_a_pair_in_csv_but_shows_it_once_in_markdown(capsys):
-    compare = ("compare", "--bits", "16,16", "--schemes", "sm1,sm1")
-    header = "bits,scheme,cardinality,moduli,bit_cost,note\n"
-    assert invoke(capsys, *compare) == (0, header + "16,sm1,3,64;65;63,20,\n" * 4, "")
-    assert invoke(capsys, *compare, "--format", "markdown") == (
-        0, "| N | sm1 | #bits |\n|---|---|---|\n| 16 | (64,65,63) | 20 |\n", "")
 
 
 def test_readme_limits_table_matches_the_constants():
@@ -860,14 +857,6 @@ def test_program_file_over_the_limit_exits_2_before_parsing(capsys, tmp_path):
         f"rnskit: validation error: characters read from {path} "
         f"{MAX_PROGRAM_CHARS + 1} is over the limit of {MAX_PROGRAM_CHARS}\n"
     )
-
-
-def test_widest_range_prints_every_value(capsys):
-    code, out, _ = invoke(
-        capsys, "convert", "--moduli", f"{2**12287 - 1},2", "--residues", f"{2**12287 - 2},1",
-    )
-    assert code == 0
-    assert out.strip() == str(2**12288 - 3)
 
 
 @pytest.mark.parametrize(
@@ -1004,5 +993,5 @@ def test_console_script_is_main(capsys):
     assert entry is not None
     target = getattr(importlib.import_module(entry.group(1)), entry.group(2))
     assert target is main
-    assert target(["convert", "--moduli", "8,9,6", "--value", "3"]) == 2
-    assert "not coprime" in capsys.readouterr().err
+    code = target(["convert", "--moduli", "8,9,6", "--value", "3"])
+    assert (code, *capsys.readouterr()) == _invalid("moduli 8 and 6 are not coprime (gcd = 2)")

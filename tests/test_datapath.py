@@ -281,13 +281,12 @@ def test_readme_scale_sum_example_runs():
 
 def test_render_of_a_literal_past_int_str_limit_raises_value_error():
     # Step takes any unsigned literal; text of 4300 digits round-trips, but
-    # one digit more is past int-to-str's limit, and parse rejects it too
+    # one digit more is past int-to-str's limit (parse rejects it too, a row of
+    # test_parse_program_or_its_diagnostics)
     at_limit = Microprogram("big", (Step(inject_a=10**4300 - 1, emit=Source.IN1),))
     assert parse_program(render_program(at_limit)) == at_limit
     with pytest.raises(ValueError):
         render_program(Microprogram("big", (Step(inject_a=10**4300, emit=Source.IN1),)))
-    with pytest.raises(ProgramParseError, match="bad unsigned decimal"):
-        parse_program(f"PROG big\nSTEP a=1{'0' * 4300} emit=IN1\nEND\n")
 
 
 def test_shared_function1_equals_fresh_build():
@@ -507,22 +506,124 @@ def test_render_parse_roundtrip_builtin():
     assert parse_program(render_program(prog)) == prog
 
 
-def test_parse_emit_field():
-    prog = parse_program("PROG p\nSTEP a=1 emit=IN1\nSTEP emit=MUL\nEND\n")
-    assert prog.steps[1].emit == Source.MUL
+def _parsed(text):
+    """The program parse builds, or the whole diagnostics list it raises."""
+    try:
+        return parse_program(text)
+    except ProgramParseError as exc:
+        return exc.diagnostics
 
 
-def test_parse_comments_and_blank_lines():
-    text = "# header comment\nPROG p\n\n# mid comment\nSTEP a=7\nEND\n"
-    prog = parse_program(text)
-    assert prog.name == "p"
-    assert prog.steps == (Step(inject_a=7),)
+_ONE_STEP = Microprogram("p", (Step(inject_a=1, emit=Source.IN1),))
 
 
-def test_parse_placeholder():
-    prog = parse_program("PROG p\nSTEP a=$X b=3\nEND\n")
-    assert prog.steps[0].inject_a == "X"
-    assert prog.steps[0].inject_b == 3
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        pytest.param(
+            "PROG p\nSTEP a=1 emit=IN1\nSTEP emit=MUL\nEND\n",
+            Microprogram("p", (Step(inject_a=1, emit=Source.IN1), Step(emit=Source.MUL))),
+            id="emit-field",
+        ),
+        pytest.param(
+            "# header comment\nPROG p\n\n# mid comment\nSTEP a=7\nEND\n",
+            Microprogram("p", (Step(inject_a=7),)),
+            id="comments-and-blank-lines",
+        ),
+        pytest.param(
+            "PROG p\nSTEP a=$X b=3\nEND\n",
+            Microprogram("p", (Step(inject_a="X", inject_b=3),)),
+            id="placeholder",
+        ),
+        pytest.param("PROG p\nSTEP\ta=1 emit=IN1\nEND\n", _ONE_STEP, id="tab-after-step-keyword"),
+        # a line ends only at LF, CRLF or CR; any other line break is part of its line
+        pytest.param(
+            "PROG p\n# note\u2028more\nSTEP a=1 emit=IN1\nEND\n", _ONE_STEP, id="u2028-in-comment",
+        ),
+        pytest.param("PROG p\nSTEP a=1\x0cemit=IN1\nEND\n", _ONE_STEP, id="form-feed-in-step"),
+        pytest.param(
+            "PROG p\r\n# note\x0bmore\rSTEP a=1 emit=IN1\r\nEND\r", _ONE_STEP,
+            id="vt-with-crlf-and-cr",
+        ),
+        pytest.param(
+            "PROG p\n# note\x85more\nSTEP add=IN1,BAD\nEND\n",
+            [(3, "unknown source token 'BAD'")],
+            id="nel-before-diagnostic",
+        ),
+        # a bad step line: one diagnostic at its line; emit takes one source,
+        # so a comma is part of its token
+        pytest.param(
+            "PROG p\nSTEP add=IN1,BAD\nEND\n", [(2, "unknown source token 'BAD'")],
+            id="unknown-source-token",
+        ),
+        pytest.param(
+            "PROG p\nSTEP emit=IN1,IN2\nEND\n", [(2, "unknown source token 'IN1,IN2'")],
+            id="emit-of-two-sources",
+        ),
+        pytest.param("PROG p\nSTEP emit=\nEND\n", [(2, "unknown source token ''")], id="empty-emit"),
+        pytest.param("PROG p\nSTEP a=1 a=2\nEND\n", [(2, "duplicate field 'a'")], id="duplicate-field"),
+        pytest.param(
+            "PROG p\nSTEP bogus=3\nEND\n", [(2, "malformed field 'bogus=3'")], id="malformed-field",
+        ),
+        pytest.param(
+            "PROG p\nSTEP mul=IN1\nEND\n", [(2, "field 'mul' needs exactly two sources")],
+            id="unit-of-one-source",
+        ),
+        pytest.param(
+            "PROG p\nSTEP add=IN1,IN2,SUB\nEND\n", [(2, "field 'add' needs exactly two sources")],
+            id="unit-of-three-sources",
+        ),
+        pytest.param(
+            "PROG p\nSTEP sub=\nEND\n", [(2, "field 'sub' needs exactly two sources")],
+            id="unit-of-no-source",
+        ),
+        # a value is a plain unsigned decimal of at most 4300 digits
+        pytest.param(
+            "PROG p\nSTEP a=-3\nEND\n", [(2, "a injection must be >= 0, got -3")], id="negative-value",
+        ),
+        pytest.param(
+            "PROG p\nSTEP a=+3\nEND\n", [(2, "bad unsigned decimal '+3'")], id="value-plus-sign",
+        ),
+        pytest.param(
+            "PROG p\nSTEP a=\u00b2\nEND\n", [(2, "bad unsigned decimal '\u00b2'")],
+            id="value-superscript",
+        ),
+        pytest.param(
+            "PROG p\nSTEP a=\u0663\nEND\n", [(2, "bad unsigned decimal '\u0663'")],
+            id="value-arabic-indic-digit",
+        ),
+        pytest.param(
+            "PROG p\nSTEP a=1_0\nEND\n", [(2, "bad unsigned decimal '1_0'")], id="value-underscore",
+        ),
+        pytest.param(
+            "PROG p\nSTEP a=1,2\nEND\n", [(2, "bad unsigned decimal '1,2'")], id="value-comma",
+        ),
+        pytest.param(
+            f"PROG big\nSTEP a=1{'0' * 4300} emit=IN1\nEND\n",
+            [(2, f"bad unsigned decimal '1{'0' * 4300}'")],
+            id="value-past-int-str-limit",
+        ),
+        # the program's frame: header, STEP lines, END
+        pytest.param("", [(1, "empty program: missing PROG header")], id="empty"),
+        pytest.param(
+            "END\n", [(1, "expected 'PROG <name>' header"), (1, "missing END terminator")],
+            id="end-only",
+        ),
+        pytest.param("PROG p\n", [(1, "missing END terminator")], id="header-only"),
+        pytest.param("STEP a=1\nEND\n", [(1, "expected 'PROG <name>' header")], id="no-header"),
+        pytest.param("PROG p\nSTEP a=1\n", [(2, "missing END terminator")], id="no-end"),
+        pytest.param("PROG p q\nEND\n", [(1, "expected 'PROG <name>' header")], id="name-with-space"),
+        pytest.param(
+            "PROG p\nEND\nEND\n", [(2, "expected STEP line, got 'END'")], id="second-end",
+        ),
+        pytest.param(
+            "PROG p\nSTEP a=1\nSTEPS\ta=2\nEND\n", [(3, "expected STEP line, got 'STEPS'")],
+            id="other-keyword",
+        ),
+    ],
+)
+def test_parse_program_or_its_diagnostics(text, expected):
+    assert _parsed(text) == expected
 
 
 @given(name=st.one_of(
@@ -546,50 +647,6 @@ def test_placeholder_name_accepted_exactly_when_it_is_an_ascii_identifier(name):
 
 
 @pytest.mark.parametrize(
-    "field,token",
-    [("add=IN1,BAD", "BAD"), ("emit=IN1,IN2", "IN1,IN2"), ("emit=", "")],
-)
-def test_parse_unknown_source_names_token_and_line(field, token):
-    # emit takes one source, so a comma is part of its token
-    with pytest.raises(ProgramParseError) as exc:
-        parse_program(f"PROG p\nSTEP {field}\nEND\n")
-    assert exc.value.diagnostics == [(2, f"unknown source token {token!r}")]
-
-
-def test_parse_duplicate_field():
-    with pytest.raises(ProgramParseError) as exc:
-        parse_program("PROG p\nSTEP a=1 a=2\nEND\n")
-    assert "duplicate" in exc.value.diagnostics[0][1]
-
-
-def test_parse_malformed_field():
-    with pytest.raises(ProgramParseError) as exc:
-        parse_program("PROG p\nSTEP bogus=3\nEND\n")
-    assert "malformed" in exc.value.diagnostics[0][1]
-
-
-@pytest.mark.parametrize(
-    "field,key", [("mul=IN1", "mul"), ("add=IN1,IN2,SUB", "add"), ("sub=", "sub")]
-)
-def test_parse_single_source_for_unit(field, key):
-    with pytest.raises(ProgramParseError) as exc:
-        parse_program(f"PROG p\nSTEP {field}\nEND\n")
-    assert exc.value.diagnostics == [(2, f"field {key!r} needs exactly two sources")]
-
-
-def test_parse_bad_decimal():
-    with pytest.raises(ProgramParseError):
-        parse_program("PROG p\nSTEP a=-3\nEND\n")
-
-
-@pytest.mark.parametrize("text", ["+3", "\u00b2", "\u0663", "1_0", "1,2"])
-def test_parse_value_takes_plain_decimals_only(text):
-    with pytest.raises(ProgramParseError) as exc:
-        parse_program(f"PROG p\nSTEP a={text}\nEND\n")
-    assert exc.value.diagnostics == [(2, f"bad unsigned decimal {text!r}")]
-
-
-@pytest.mark.parametrize(
     "field,kwargs,message",
     [
         ("a=-3", {"inject_a": -3}, "a injection must be >= 0, got -3"),
@@ -603,56 +660,7 @@ def test_parse_reports_the_step_injection_check(field, kwargs, message):
     with pytest.raises(ValueError) as direct:
         Step(**kwargs)
     assert str(direct.value) == message
-    with pytest.raises(ProgramParseError) as exc:
-        parse_program(f"PROG p\nSTEP {field} emit=IN1\nEND\n")
-    assert exc.value.diagnostics == [(2, message)]
-
-
-def test_parse_tab_after_step_keyword():
-    prog = parse_program("PROG p\nSTEP\ta=1 emit=IN1\nEND\n")
-    assert prog.steps == (Step(inject_a=1, emit=Source.IN1),)
-
-
-@pytest.mark.parametrize(
-    "text,diagnostics",
-    [
-        ("PROG p\n# note\u2028more\nSTEP a=1 emit=IN1\nEND\n", []),
-        ("PROG p\nSTEP a=1\x0cemit=IN1\nEND\n", []),
-        ("PROG p\r\n# note\x0bmore\rSTEP a=1 emit=IN1\r\nEND\r", []),
-        ("PROG p\n# note\x85more\nSTEP add=IN1,BAD\nEND\n", [(3, "unknown source token 'BAD'")]),
-    ],
-    ids=["u2028-in-comment", "form-feed-in-step", "vt-with-crlf-and-cr", "nel-before-diagnostic"],
-)
-def test_parse_ends_lines_only_at_lf_crlf_and_cr(text, diagnostics):
-    if not diagnostics:
-        assert parse_program(text).steps == (Step(inject_a=1, emit=Source.IN1),)
-        return
-    with pytest.raises(ProgramParseError) as exc:
-        parse_program(text)
-    assert exc.value.diagnostics == diagnostics
-
-
-@pytest.mark.parametrize(
-    "text,diagnostics",
-    [
-        ("", [(1, "empty program: missing PROG header")]),
-        ("END\n", [(1, "expected 'PROG <name>' header"), (1, "missing END terminator")]),
-        ("PROG p\n", [(1, "missing END terminator")]),
-        ("STEP a=1\nEND\n", [(1, "expected 'PROG <name>' header")]),
-        ("PROG p\nSTEP a=1\n", [(2, "missing END terminator")]),
-        ("PROG p q\nEND\n", [(1, "expected 'PROG <name>' header")]),
-        ("PROG p\nEND\nEND\n", [(2, "expected STEP line, got 'END'")]),
-        ("PROG p\nSTEP a=1\nSTEPS\ta=2\nEND\n", [(3, "expected STEP line, got 'STEPS'")]),
-    ],
-    ids=[
-        "empty", "end-only", "header-only", "no-header", "no-end", "name-with-space",
-        "second-end", "other-keyword",
-    ],
-)
-def test_parse_program_level_diagnostics(text, diagnostics):
-    with pytest.raises(ProgramParseError) as exc:
-        parse_program(text)
-    assert exc.value.diagnostics == diagnostics
+    assert _parsed(f"PROG p\nSTEP {field} emit=IN1\nEND\n") == [(2, message)]
 
 
 _sources = st.sampled_from([Source.IN1, Source.IN2, Source.ADD, Source.SUB, Source.MUL])
@@ -682,16 +690,6 @@ def _steps(draw, injections=_injections):
     )
 
 
-@given(
-    name=st.from_regex(r"[A-Za-z_][A-Za-z0-9_.-]{0,12}", fullmatch=True),
-    steps=st.lists(_steps(), max_size=6),
-)
-@settings(max_examples=200)
-def test_render_parse_roundtrip_property(name, steps):
-    prog = Microprogram(name=name, steps=tuple(steps))
-    assert parse_program(render_program(prog)) == prog
-
-
 def _scanned_placeholders(prog):
     """The (label, name) pairs found by walking every step, a before b."""
     return tuple(
@@ -702,22 +700,25 @@ def _scanned_placeholders(prog):
     )
 
 
-@given(steps=st.lists(_steps(), max_size=6), repeats=st.lists(st.integers(0, 5), max_size=4))
+@given(
+    name=st.from_regex(r"[A-Za-z_][A-Za-z0-9_.-]{0,12}", fullmatch=True),
+    steps=st.lists(_steps(), max_size=6),
+    repeats=st.lists(st.integers(0, 5), max_size=4),
+    data=st.data(),
+)
 @settings(max_examples=200)
-def test_placeholder_record_matches_a_scan_of_the_steps(steps, repeats):
+def test_program_text_roundtrip_property(name, steps, repeats, data):
     # repeated references to one Step object, as the built-ins share theirs
-    steps = steps + [steps[i] for i in repeats if i < len(steps)]
-    prog = Microprogram("p", steps)
+    prog = Microprogram(name, tuple(steps + [steps[i] for i in repeats if i < len(steps)]))
     assert prog._placeholders == _scanned_placeholders(prog)
-    assert parse_program(render_program(prog))._placeholders == prog._placeholders
-
-
-@given(s=_steps(), data=st.data())
-@settings(max_examples=200)
-def test_step_line_in_any_field_order_parses_to_the_step(s, data):
-    fields = render_program(Microprogram("p", (s,))).splitlines()[1].split()[1:]
-    shuffled = data.draw(st.permutations(fields))
-    assert parse_program("PROG p\nSTEP " + " ".join(shuffled) + "\nEND\n").steps == (s,)
+    text = render_program(prog)
+    parsed = parse_program(text)
+    assert parsed == prog
+    assert parsed._placeholders == prog._placeholders
+    # every step line parses to its step with its fields in any order
+    header, *lines, end = text.splitlines()
+    shuffled = ["STEP " + " ".join(data.draw(st.permutations(line.split()[1:]))) for line in lines]
+    assert parse_program("\n".join([header, *shuffled, end]) + "\n") == prog
 
 
 # The step-line parser as it stood when it re-checked identifiers and
