@@ -409,6 +409,16 @@ PRIMES = [p for p in range(2, 320) if all(p % d for d in range(2, p))]
             _error("bad binding 'E=-1' (expected NAME=UNSIGNED)"),
             id="run-negative-binding",
         ),
+        pytest.param(
+            (*FUNCTION1, "X7,Y=5,Z=3"),
+            _error("bad binding 'X7' (expected NAME=UNSIGNED)"),
+            id="run-binding-without-equals",
+        ),
+        pytest.param(
+            (*FUNCTION1, "X=7,=5,Z=3"),
+            _error("bad binding '=5' (expected NAME=UNSIGNED)"),
+            id="run-binding-without-name",
+        ),
         # a run that faults prints no outputs and no --trace lines
         pytest.param(
             (*RUN_PROGRAM, "PROG fault\nSTEP add=ADD,IN1\nEND\n", "--trace"),

@@ -566,6 +566,10 @@ _ONE_STEP = Microprogram("p", (Step(inject_a=1, emit=Source.IN1),))
             "PROG p\nSTEP bogus=3\nEND\n", [(2, "malformed field 'bogus=3'")], id="malformed-field",
         ),
         pytest.param(
+            "PROG p\nSTEP a=1 emit\nEND\n", [(2, "malformed field 'emit'")],
+            id="field-without-equals",
+        ),
+        pytest.param(
             "PROG p\nSTEP mul=IN1\nEND\n", [(2, "field 'mul' needs exactly two sources")],
             id="unit-of-one-source",
         ),
