@@ -83,6 +83,10 @@ CONVERT = ("convert", "--moduli", "8,9,7")
 FUNCTION1 = ("run", "--builtin", "function1", "--moduli", "8,9,7", "--bind")
 FUNCTION2 = ("run", "--builtin", "function2", "--moduli", "8,9,7", "--bind")
 RUN_PROGRAM = ("run", "--moduli", "8,9,7", "--program")
+FUNCTION1_TRACE = (
+    "step 0: IN1=(7,7,0) IN2=(5,5,5) ADD=(4,3,5) SUB=- MUL=-\n"
+    "step 1: IN1=(7,7,0) IN2=(3,3,3) ADD=(4,3,5) SUB=- MUL=(4,0,1)\n"
+)
 PRIMES = [p for p in range(2, 320) if all(p % d for d in range(2, p))]
 
 
@@ -363,13 +367,7 @@ PRIMES = [p for p in range(2, 320) if all(p % d for d in range(2, p))]
         pytest.param((*FUNCTION1, "X=7,Y=5,Z=3"), _out("36"), id="run-function1"),
         pytest.param((*FUNCTION2, "X=3,E=4"), _out("81"), id="run-function2"),
         pytest.param(
-            (*FUNCTION1, "X=7,Y=5,Z=3", "--trace"),
-            (
-                0,
-                "36\n",
-                "step 0: IN1=(7,7,0) IN2=(5,5,5) ADD=(4,3,5) SUB=- MUL=-\n"
-                "step 1: IN1=(7,7,0) IN2=(3,3,3) ADD=(4,3,5) SUB=- MUL=(4,0,1)\n",
-            ),
+            (*FUNCTION1, "X=7,Y=5,Z=3", "--trace"), (0, "36\n", FUNCTION1_TRACE),
             id="run-trace-goes-to-stderr",
         ),
         pytest.param(
@@ -746,6 +744,13 @@ def test_run_builtin_traces_one_line_per_cycle(capsys, builtin, bind, output, st
     code, out, err = invoke(capsys, *argv)
     assert (code, out) == (0, f"{output}\n")
     assert [line.split(":")[0] for line in err.splitlines()] == [f"step {i}" for i in range(steps)]
+
+
+def test_readme_trace_example_is_the_traced_run():
+    # the call and its stderr, as row run-trace-goes-to-stderr pins them
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    call = " ".join(("rnskit", *FUNCTION1, "X=7,Y=5,Z=3", "--trace"))
+    assert f"`{call}`\nprints `36` on stdout and on stderr\n\n```\n{FUNCTION1_TRACE}```\n" in readme
 
 
 def test_run_unknown_builtin_exits_1(capsys):

@@ -1,4 +1,3 @@
-import random
 import re
 from dataclasses import dataclass, field
 from math import prod
@@ -29,50 +28,7 @@ from rnskit.rns import RnsContext, from_rns, rns_add, rns_mul, rns_sub, to_rns
 CTX = RnsContext(ModuliSet((8, 9, 7)))
 
 
-# --- step semantics, one short program each ---------------------------------------
-
-
-def _run_steps(*steps, bindings=None):
-    return run(CTX, Microprogram("p", steps), bindings)
-
-
-def test_injections_only():
-    outputs, trace = _run_steps(Step(inject_a=7, inject_b=5))
-    assert trace == [{Source.IN1: to_rns(CTX, 7), Source.IN2: to_rns(CTX, 5)}]
-    assert outputs == []
-
-
-def test_add_step_after_injection():
-    _, trace = _run_steps(Step(inject_a=7, inject_b=5), Step(add_l=Source.IN1, add_r=Source.IN2))
-    assert trace[1][Source.ADD] == to_rns(CTX, 12)
-
-
-def test_emit_step():
-    outputs, _ = _run_steps(
-        Step(inject_a=7, inject_b=5),
-        Step(add_l=Source.IN1, add_r=Source.IN2),
-        Step(emit=Source.ADD),
-    )
-    assert outputs == [12]
-
-
-def test_same_step_injection_is_visible_to_units():
-    _, trace = _run_steps(Step(inject_a=7, inject_b=5, add_l=Source.IN1, add_r=Source.IN2))
-    assert trace[0][Source.ADD] == to_rns(CTX, 12)
-
-
-def test_undefined_latch_read_faults_with_location():
-    with pytest.raises(RunFault) as exc:
-        _run_steps(*[Step()] * 4, Step(add_l=Source.IN1, add_r=Source.IN2))
-    assert exc.value.step_index == 4
-    assert exc.value.source == Source.IN1
-    assert str(exc.value) == "step 4: read of undefined latch IN1"
-
-
-def test_emit_of_undefined_latch_faults():
-    with pytest.raises(RunFault) as exc:
-        _run_steps(Step(emit=Source.MUL))
-    assert (exc.value.step_index, exc.value.source) == (0, Source.MUL)
+# --- steps, and run's per-cycle kernel --------------------------------------------
 
 
 def test_half_selected_unit_rejected():
@@ -85,12 +41,6 @@ def test_bool_injection_literal_rejected(kwargs, label):
     value = next(iter(kwargs.values()))
     with pytest.raises(TypeError, match=f"^{label} injection {value} is not an int$"):
         Step(**kwargs, emit=Source.IN1)
-
-
-def test_bool_bound_value_rejected():
-    # a bound value is checked as a Step injection is: a bool is not an int
-    with pytest.raises(TypeError, match="^a injection True is not an int$"):
-        run(CTX, builtin_function1(), {"X": True, "Y": 1, "Z": 3})
 
 
 def test_run_is_the_only_public_entry_point(monkeypatch):
@@ -129,35 +79,97 @@ def test_step_read_of_unwritten_latch_raises_key_error_and_latches_no_result():
 # --- program runs ------------------------------------------------------------------
 
 
-def test_function1_basic():
-    outputs, trace = run(CTX, builtin_function1(), {"X": 7, "Y": 5, "Z": 3})
-    assert outputs == [36]
-    assert len(trace) == 2
+def _ok(outputs, *snapshots):
+    """A run that ends: its outputs, and per step the value of each latch written so far."""
+    return "ok", outputs, snapshots
 
 
-def test_function1_zero_annihilates():
-    outputs, _ = run(CTX, builtin_function1(), {"X": 0, "Y": 0, "Z": 5})
-    assert outputs == [0]
+def _fault(exc_type, message, step_index=None, source=None, name=None):
+    return "fault", exc_type, (step_index, source, name), message
 
 
-def test_function1_wraps_modulo_range():
-    outputs, _ = run(CTX, builtin_function1(), {"X": 100, "Y": 200, "Z": 3})
-    assert outputs == [(300 * 3) % 504]
+_M3 = (8, 9, 7)
 
 
-def test_function2_fourth_power():
-    outputs, _ = run(CTX, builtin_function2(4), {"X": 3})
-    assert outputs == [81]
-
-
-def test_function2_zero_exponent():
-    outputs, _ = run(CTX, builtin_function2(0), {"X": 200})
-    assert outputs == [1]
-
-
-def test_function2_first_power():
-    outputs, _ = run(CTX, builtin_function2(1), {"X": 5})
-    assert outputs == [5]
+@pytest.mark.parametrize("moduli,program,bindings,expected", [
+    # within a step: injections land, the units read, all results latch, the emit reads
+    pytest.param(_M3, "PROG p\nSTEP a=7 b=5\nEND\n", {}, _ok([], {"IN1": 7, "IN2": 5}),
+                 id="injections-only"),
+    pytest.param(_M3, "PROG p\nSTEP a=7 b=5 add=IN1,IN2\nEND\n", {},
+                 _ok([], {"IN1": 7, "IN2": 5, "ADD": 12}), id="same-step-injection-feeds-units"),
+    pytest.param(_M3, "PROG p\nSTEP a=7 b=5\nSTEP add=IN1,IN2\nSTEP emit=ADD\nEND\n", {},
+                 _ok([12], {"IN1": 7, "IN2": 5}, *[{"IN1": 7, "IN2": 5, "ADD": 12}] * 2),
+                 id="add-then-emit-in-later-steps"),
+    # an emit reads its own step's result; SUB wraps modulo M = 504
+    pytest.param(
+        _M3, "PROG p\nSTEP a=2 b=3\nSTEP add=IN1,IN2 emit=ADD\nSTEP sub=IN1,IN2\nSTEP emit=SUB\nEND\n",
+        {}, _ok([5, 503], {"IN1": 2, "IN2": 3}, {"IN1": 2, "IN2": 3, "ADD": 5},
+                *[{"IN1": 2, "IN2": 3, "ADD": 5, "SUB": 503}] * 2),
+        id="one-output-per-emit-one-snapshot-per-step",
+    ),
+    # ADD and MUL read each other in step 1: both see step 0's results
+    pytest.param(
+        _M3, "PROG p\nSTEP a=3 b=5 add=IN1,IN2 mul=IN1,IN2\nSTEP add=MUL,IN1 mul=ADD,IN1\n"
+        "STEP emit=ADD\nSTEP emit=MUL\nEND\n",
+        {}, _ok([18, 24], {"IN1": 3, "IN2": 5, "ADD": 8, "MUL": 15},
+                *[{"IN1": 3, "IN2": 5, "ADD": 18, "MUL": 24}] * 3),
+        id="cross-read-sees-previous-step-values",
+    ),
+    pytest.param(_M3, "PROG p\nSTEP a=4 b=9 add=IN1,IN2\nSTEP a=1 b=1\nSTEP emit=ADD\nEND\n", {},
+                 _ok([13], {"IN1": 4, "IN2": 9, "ADD": 13}, *[{"IN1": 1, "IN2": 1, "ADD": 13}] * 2),
+                 id="unit-latch-persists-across-steps"),
+    # a read of a latch never written faults with its step and source
+    pytest.param(_M3, "PROG p\nSTEP\nSTEP\nSTEP\nSTEP\nSTEP add=IN1,IN2\nEND\n", {},
+                 _fault(RunFault, "step 4: read of undefined latch IN1", 4, Source.IN1),
+                 id="undefined-read-after-idle-steps"),
+    pytest.param(_M3, "PROG p\nSTEP a=1\nSTEP add=IN1,IN2\nEND\n", {},
+                 _fault(RunFault, "step 1: read of undefined latch IN2", 1, Source.IN2),
+                 id="undefined-right-operand"),
+    pytest.param(_M3, "PROG p\nSTEP emit=MUL\nEND\n", {},
+                 _fault(RunFault, "step 0: read of undefined latch MUL", 0, Source.MUL),
+                 id="emit-of-undefined-latch"),
+    # every placeholder is bound before any step runs
+    pytest.param(_M3, builtin_function1(), {"X": 7, "Y": 5},
+                 _fault(UnboundPlaceholderError, "unbound placeholder $Z", name="Z"),
+                 id="unbound-placeholder-named"),
+    pytest.param(_M3, "PROG late\nSTEP emit=MUL\nSTEP a=$Q\nEND\n", {},
+                 _fault(UnboundPlaceholderError, "unbound placeholder $Q", name="Q"),
+                 id="unbound-placeholder-before-any-step"),
+    # the built-ins: (X + Y) * Z, and X ** e by square-and-multiply
+    pytest.param(_M3, builtin_function1(), {"X": 7, "Y": 5, "Z": 3},
+                 _ok([36], {"IN1": 7, "IN2": 5, "ADD": 12}, {"IN1": 7, "IN2": 3, "ADD": 12, "MUL": 36}),
+                 id="function1"),
+    pytest.param(_M3, builtin_function1(), {"X": 0, "Y": 0, "Z": 5},
+                 _ok([0], {"IN1": 0, "IN2": 0, "ADD": 0}, {"IN1": 0, "IN2": 5, "ADD": 0, "MUL": 0}),
+                 id="function1-zero-annihilates"),
+    pytest.param(_M3, builtin_function1(), {"X": 100, "Y": 200, "Z": 3},
+                 _ok([396], {"IN1": 100, "IN2": 200, "ADD": 300},
+                     {"IN1": 100, "IN2": 3, "ADD": 300, "MUL": 396}),
+                 id="function1-wraps-modulo-range"),
+    pytest.param((16, 17, 15, 19), builtin_function1(), {"X": 1000, "Y": 2000, "Z": 30},
+                 _ok([12480], {"IN1": 1000, "IN2": 2000, "ADD": 3000},
+                     {"IN1": 1000, "IN2": 30, "ADD": 3000, "MUL": 12480}),
+                 id="function1-four-moduli"),
+    pytest.param(_M3, builtin_function2(0), {"X": 200}, _ok([1], {"IN1": 1}), id="function2-zero-exponent"),
+    pytest.param(_M3, builtin_function2(1), {"X": 5}, _ok([5], {"IN1": 5}), id="function2-first-power"),
+    pytest.param(_M3, builtin_function2(4), {"X": 3},
+                 _ok([81], {"IN1": 3, "MUL": 9}, {"IN1": 3, "MUL": 81}), id="function2-fourth-power"),
+    # 13 = 0b1101: X * X, times X, square, square, times X with the emit
+    pytest.param((42, 43, 41), builtin_function2(13), {"X": 2},
+                 _ok([8192], *[{"IN1": 2, "MUL": 2**k} for k in (2, 3, 6, 12, 13)]),
+                 id="function2-thirteenth-power"),
+])
+def test_run_outcome(moduli, program, bindings, expected):
+    # the whole outcome, and the reference interpreter's outcome, of one run
+    ctx = RnsContext(ModuliSet(moduli))
+    prog = parse_program(program) if isinstance(program, str) else program
+    outcome = _outcome(lambda: run(ctx, prog, dict(bindings)))
+    assert outcome == _outcome(lambda: _reference_run(ctx, prog, dict(bindings)))
+    if expected[0] == "ok":
+        _, outputs, snapshots = expected
+        trace = [{Source[name]: to_rns(ctx, value) for name, value in s.items()} for s in snapshots]
+        expected = "ok", (outputs, trace)
+    assert outcome == expected
 
 
 def _fresh_function1():
@@ -377,125 +389,6 @@ def test_readme_function2_listing_is_the_rendered_schedule():
 def test_function2_negative_exponent_rejected():
     with pytest.raises(ValueError, match="exponent must be >= 0, got -1"):
         builtin_function2(-1)
-
-
-def test_unbound_placeholder_names_it():
-    with pytest.raises(UnboundPlaceholderError) as exc:
-        run(CTX, builtin_function1(), {"X": 7, "Y": 5})
-    assert exc.value.name == "Z"
-    assert "$Z" in str(exc.value)
-
-
-@pytest.mark.parametrize(
-    "bindings",
-    [
-        {"X": 7.5, "Y": 1, "Z": 1},
-        {"X": -1, "Y": 1, "Z": 1},
-        {"X": 1, "Y": 1, "Z": -1},  # Z is first injected in step 1
-        {"X": "7", "Y": 1, "Z": 1},
-        {"X": 1, "Y": 1, "Z": 2.5},
-    ],
-)
-def test_bad_bound_value_rejected_before_any_step(monkeypatch, bindings):
-    executed = []
-    monkeypatch.setattr(datapath, "step", lambda *args, **kwargs: executed.append(args))
-    # a negative int is out of range (ValueError); any other bad value is not an int
-    error = ValueError if all(type(v) is int for v in bindings.values()) else TypeError
-    with pytest.raises(error):
-        run(CTX, builtin_function1(), bindings)
-    assert executed == []
-
-
-def test_unbound_placeholder_checked_before_any_step():
-    prog = Microprogram(
-        name="late",
-        steps=(Step(emit=Source.MUL), Step(inject_a="Q")),
-    )
-    with pytest.raises(UnboundPlaceholderError) as exc:
-        run(CTX, prog, {})
-    assert exc.value.name == "Q"
-
-
-def test_run_fault_reports_step_index():
-    prog = Microprogram(
-        name="bad",
-        steps=(
-            Step(inject_a=1),
-            Step(add_l=Source.IN1, add_r=Source.IN2),
-        ),
-    )
-    with pytest.raises(RunFault) as exc:
-        run(CTX, prog, {})
-    assert exc.value.step_index == 1
-    assert exc.value.source == Source.IN2
-
-
-def test_cross_read_sees_previous_step_values():
-    # ADD and MUL read each other in step 2; both must see step-1 results.
-    prog = Microprogram(
-        name="crossread",
-        steps=(
-            Step(
-                inject_a=3,
-                inject_b=5,
-                add_l=Source.IN1,
-                add_r=Source.IN2,
-                mul_l=Source.IN1,
-                mul_r=Source.IN2,
-            ),
-            Step(
-                add_l=Source.MUL,
-                add_r=Source.IN1,
-                mul_l=Source.ADD,
-                mul_r=Source.IN1,
-            ),
-            Step(emit=Source.ADD),
-            Step(emit=Source.MUL),
-        ),
-    )
-    outputs, _ = run(CTX, prog, {})
-    assert outputs == [(3 * 5 + 3) % 504, ((3 + 5) * 3) % 504]
-
-
-def test_trace_and_output_lengths():
-    prog = Microprogram(
-        name="lengths",
-        steps=(
-            Step(inject_a=2, inject_b=3),
-            Step(add_l=Source.IN1, add_r=Source.IN2, emit=Source.ADD),
-            Step(sub_l=Source.IN1, sub_r=Source.IN2),
-            Step(emit=Source.SUB),
-        ),
-    )
-    outputs, trace = run(CTX, prog, {})
-    assert len(trace) == 4
-    assert len(outputs) == 2  # one per non-NONE emit
-
-
-def test_unit_latch_persists_across_steps():
-    prog = Microprogram(
-        name="persist",
-        steps=(
-            Step(inject_a=4, inject_b=9, add_l=Source.IN1, add_r=Source.IN2),
-            Step(inject_a=1, inject_b=1),  # ADD latch must survive this step
-            Step(emit=Source.ADD),
-        ),
-    )
-    outputs, _ = run(CTX, prog, {})
-    assert outputs == [13]
-
-
-@pytest.mark.parametrize("moduli", [(8, 9, 7), (16, 17, 15, 19), (42, 43, 41)])
-def test_oracle_equivalence_randomized(moduli):
-    ctx = RnsContext(ModuliSet(moduli))
-    total = ctx.moduli_set.dynamic_range
-    rng = random.Random(77)
-    f1 = builtin_function1()
-    for _ in range(200):
-        x, y, z = (rng.randrange(total) for _ in range(3))
-        assert run(ctx, f1, {"X": x, "Y": y, "Z": z})[0] == [((x + y) * z) % total]
-        e = rng.randrange(0, 33)
-        assert run(ctx, builtin_function2(e), {"X": x})[0] == [pow(x, e, total)]
 
 
 # --- program text ------------------------------------------------------------------
@@ -953,7 +846,7 @@ class _Count(int):
 
 @pytest.mark.parametrize("value", [True, _Count(7), -1, 2.5, "7"], ids=repr)
 @pytest.mark.parametrize("name", ["X", "Z"])  # X is injected as a in step 0, Z as b in step 1
-def test_bound_value_outcome_is_the_full_check(name, value):
+def test_bound_value_outcome_is_the_full_check(monkeypatch, name, value):
     # run accepts a plain unsigned int inline; every other value must still
     # get check_int's verdict and message, as the reference run does
     bindings = {"X": 7, "Y": 1, "Z": 3, name: value}
@@ -968,6 +861,12 @@ def test_bound_value_outcome_is_the_full_check(name, value):
         assert outcome == ("fault", TypeError, (None, None, None), message)
     else:
         assert outcome[1][0] == [(bindings["X"] + 1) * bindings["Z"] % 504]
+        return
+    # a rejected value is rejected before any step runs
+    executed = []
+    monkeypatch.setattr(datapath, "step", lambda *args: executed.append(args))
+    assert _ran(run, CTX, builtin_function1(), bindings) == outcome
+    assert executed == []
 
 
 @pytest.mark.parametrize("unit", ["add", "sub", "mul"])
@@ -977,12 +876,11 @@ def test_fault_in_each_unit_position_latches_nothing(unit, side):
     selects = {f"{u}_{x}": Source.IN1 for u in ("add", "sub", "mul") for x in "lr"}
     selects[f"{unit}_{side}"] = Source.SUB
     with pytest.raises(RunFault) as exc:
-        _run_steps(
+        run(CTX, Microprogram("p", (
             Step(inject_a=3, mul_l=Source.IN1, mul_r=Source.IN1),
             Step(),
             Step(inject_a="X", inject_b=6, **selects),
-            bindings={"X": 4},
-        )
+        )), {"X": 4})
     assert (exc.value.step_index, exc.value.source) == (2, Source.SUB)
 
 

@@ -6,6 +6,8 @@ root goes missing.
 """
 
 import ast
+import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -32,6 +34,22 @@ def test_star_import_gives_exactly_the_declared_names():
     namespace: dict = {}
     exec("from rnskit import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(rnskit.__all__)
+
+
+def test_tests_import_each_function_and_class_from_its_own_module():
+    # a name that an rnskit module imports for its own use, such as math.gcd,
+    # puts no rnskit code under test
+    misplaced = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("rnskit."):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    value = getattr(module, alias.name)
+                    if inspect.isroutine(value) or inspect.isclass(value):
+                        if value.__module__ != node.module:
+                            misplaced.append((path.name, node.module, alias.name, value.__module__))
+    assert misplaced == []
 
 
 def test_benchmark_names_resolve_on_the_root():
@@ -70,6 +88,8 @@ def test_readme_library_block_runs_as_written():
         "trace.x == 41",
         "trace.extras == ((58005, 39), (1235, 36), (34, 34))",
         "outputs == [36]",
+        "latch_trace[1][Source.MUL] == x",
+        "Source.MUL not in latch_trace[0]",
     ]
     for claim in claims:
         assert claim in block

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -6,59 +8,9 @@ from rnskit.numbers import (
     NotCoprimeError,
     ceil_nth_root,
     coprime_to_all,
-    gcd,
     mod_inverse,
     parse_decimal,
 )
-
-
-def trial_division_factors(n: int) -> set[int]:
-    """Independent factorization oracle: prime factors by trial division."""
-    factors = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        factors.add(n)
-    return factors
-
-
-# --- gcd ----------------------------------------------------------------------
-
-
-def test_gcd_common_factor():
-    assert gcd(12, 18) == 6
-
-
-@pytest.mark.parametrize("a", [0, 1, 7, 12345])
-def test_gcd_identity_with_zero(a):
-    assert gcd(a, 0) == a
-
-
-def test_gcd_adjacent_integers_coprime():
-    # oracle: 86 = 2*43 and 87 = 3*29 share no prime factor
-    assert trial_division_factors(86) & trial_division_factors(87) == set()
-    assert gcd(86, 87) == 1
-
-
-def test_gcd_zero_zero_convention():
-    assert gcd(0, 0) == 0
-
-
-@given(
-    a=st.integers(min_value=0, max_value=2**32),
-    b=st.integers(min_value=0, max_value=2**32),
-    k=st.integers(min_value=1, max_value=2**32),
-)
-def test_gcd_laws(a, b, k):
-    g = gcd(a, b)
-    assert g == gcd(b, a)
-    if a or b:
-        assert a % g == 0 and b % g == 0
-    assert gcd(k * a, k * b) == k * g
 
 
 # --- ceil_nth_root ------------------------------------------------------------
