@@ -88,7 +88,7 @@ def _fault(exc_type, message, step_index=None, source=None, name=None):
     return "fault", exc_type, (step_index, source, name), message
 
 
-_M3 = (8, 9, 7)
+_M3, _M6 = (8, 9, 7), (42, 43, 41, 47, 37, 53)
 
 
 @pytest.mark.parametrize("moduli,program,bindings,expected", [
@@ -100,6 +100,18 @@ _M3 = (8, 9, 7)
     pytest.param(_M3, "PROG p\nSTEP a=7 b=5\nSTEP add=IN1,IN2\nSTEP emit=ADD\nEND\n", {},
                  _ok([12], {"IN1": 7, "IN2": 5}, *[{"IN1": 7, "IN2": 5, "ADD": 12}] * 2),
                  id="add-then-emit-in-later-steps"),
+    pytest.param(_M3, "PROG p\nEND\n", {}, _ok([]), id="empty-program"),
+    pytest.param(_M3, "PROG p\nSTEP a=600 b=504 emit=IN1\nEND\n", {}, _ok([96], {"IN1": 96, "IN2": 0}),
+                 id="injection-wraps-modulo-range"),
+    pytest.param(_M3, "PROG p\nSTEP a=3 b=4\nSTEP a=6 add=IN1,IN2 emit=IN1\nEND\n", {},
+                 _ok([6], {"IN1": 3, "IN2": 4}, {"IN1": 6, "IN2": 4, "ADD": 10}),
+                 id="injection-replaces-only-its-input-latch"),
+    pytest.param(_M3, "PROG p\nSTEP a=2 b=9 add=IN1,IN2 sub=IN1,IN2 mul=IN1,IN2 emit=SUB\nSTEP\nEND\n",
+                 {}, _ok([497], *[{"IN1": 2, "IN2": 9, "ADD": 11, "SUB": 497, "MUL": 18}] * 2),
+                 id="idle-step-keeps-all-five-latches"),
+    pytest.param(_M3, "PROG p\nSTEP a=2 b=3 add=IN1,IN2\nSTEP add=ADD,ADD emit=ADD\nEND\n", {},
+                 _ok([10], *[{"IN1": 2, "IN2": 3, "ADD": v} for v in (5, 10)]),
+                 id="unit-reads-its-own-previous-result"),
     # an emit reads its own step's result; SUB wraps modulo M = 504
     pytest.param(
         _M3, "PROG p\nSTEP a=2 b=3\nSTEP add=IN1,IN2 emit=ADD\nSTEP sub=IN1,IN2\nSTEP emit=SUB\nEND\n",
@@ -128,6 +140,15 @@ _M3 = (8, 9, 7)
     pytest.param(_M3, "PROG p\nSTEP emit=MUL\nEND\n", {},
                  _fault(RunFault, "step 0: read of undefined latch MUL", 0, Source.MUL),
                  id="emit-of-undefined-latch"),
+    pytest.param(_M3, "PROG p\nSTEP a=1 emit=IN1\nSTEP emit=SUB\nEND\n", {},
+                 _fault(RunFault, "step 1: read of undefined latch SUB", 1, Source.SUB),
+                 id="fault-after-an-emit"),
+    pytest.param(_M3, "PROG p\nSTEP add=SUB,MUL\nEND\n", {},
+                 _fault(RunFault, "step 0: read of undefined latch SUB", 0, Source.SUB),
+                 id="both-operands-undefined-names-the-left"),
+    pytest.param(_M3, "PROG p\nSTEP a=1 sub=IN1,ADD mul=MUL,IN1\nEND\n", {},
+                 _fault(RunFault, "step 0: read of undefined latch ADD", 0, Source.ADD),
+                 id="units-read-in-add-sub-mul-order"),
     # every placeholder is bound before any step runs
     pytest.param(_M3, builtin_function1(), {"X": 7, "Y": 5},
                  _fault(UnboundPlaceholderError, "unbound placeholder $Z", name="Z"),
@@ -135,6 +156,25 @@ _M3 = (8, 9, 7)
     pytest.param(_M3, "PROG late\nSTEP emit=MUL\nSTEP a=$Q\nEND\n", {},
                  _fault(UnboundPlaceholderError, "unbound placeholder $Q", name="Q"),
                  id="unbound-placeholder-before-any-step"),
+    # placeholders are checked in step order, a before b; a binding no step names is not read
+    pytest.param(_M3, "PROG p\nSTEP b=$Q\nSTEP a=$P\nEND\n", {},
+                 _fault(UnboundPlaceholderError, "unbound placeholder $Q", name="Q"),
+                 id="first-unbound-in-step-order"),
+    pytest.param(_M3, "PROG p\nSTEP a=$P b=$Q\nEND\n", {},
+                 _fault(UnboundPlaceholderError, "unbound placeholder $P", name="P"),
+                 id="a-unbound-before-b"),
+    pytest.param(_M3, builtin_function1(), {"Y": -1, "Z": 3},
+                 _fault(UnboundPlaceholderError, "unbound placeholder $X", name="X"),
+                 id="unbound-before-a-later-bad-value"),
+    pytest.param(_M3, builtin_function1(), {"X": -1},
+                 _fault(ValueError, "a injection must be >= 0, got -1"),
+                 id="bad-value-before-a-later-unbound"),
+    pytest.param(_M3, builtin_function2(1), {"X": 5, "W": -1}, _ok([5], {"IN1": 5}),
+                 id="unused-binding-is-not-checked"),
+    pytest.param(_M3, "PROG p\nSTEP a=1 b=$Y add=IN1,IN2 emit=ADD\nEND\n", {"Y": 4},
+                 _ok([5], {"IN1": 1, "IN2": 4, "ADD": 5}), id="placeholder-in-b"),
+    pytest.param(_M3, "PROG p\nSTEP a=$X b=$X mul=IN1,IN2 emit=MUL\nEND\n", {"X": 6},
+                 _ok([36], {"IN1": 6, "IN2": 6, "MUL": 36}), id="one-placeholder-injected-twice"),
     # the built-ins: (X + Y) * Z, and X ** e by square-and-multiply
     pytest.param(_M3, builtin_function1(), {"X": 7, "Y": 5, "Z": 3},
                  _ok([36], {"IN1": 7, "IN2": 5, "ADD": 12}, {"IN1": 7, "IN2": 3, "ADD": 12, "MUL": 36}),
@@ -146,6 +186,9 @@ _M3 = (8, 9, 7)
                  _ok([396], {"IN1": 100, "IN2": 200, "ADD": 300},
                      {"IN1": 100, "IN2": 3, "ADD": 300, "MUL": 396}),
                  id="function1-wraps-modulo-range"),
+    pytest.param(_M3, builtin_function1(), {"X": 1, "Y": 7, "Z": 63},
+                 _ok([0], {"IN1": 1, "IN2": 7, "ADD": 8}, {"IN1": 1, "IN2": 63, "ADD": 8, "MUL": 0}),
+                 id="function1-product-of-range-wraps-to-zero"),
     pytest.param((16, 17, 15, 19), builtin_function1(), {"X": 1000, "Y": 2000, "Z": 30},
                  _ok([12480], {"IN1": 1000, "IN2": 2000, "ADD": 3000},
                      {"IN1": 1000, "IN2": 30, "ADD": 3000, "MUL": 12480}),
@@ -154,6 +197,11 @@ _M3 = (8, 9, 7)
     pytest.param(_M3, builtin_function2(1), {"X": 5}, _ok([5], {"IN1": 5}), id="function2-first-power"),
     pytest.param(_M3, builtin_function2(4), {"X": 3},
                  _ok([81], {"IN1": 3, "MUL": 9}, {"IN1": 3, "MUL": 81}), id="function2-fourth-power"),
+    pytest.param(_M3, builtin_function2(3), {"X": 10},
+                 _ok([496], {"IN1": 10, "MUL": 100}, {"IN1": 10, "MUL": 496}), id="function2-cube-wraps"),
+    pytest.param(_M6, builtin_function2(5), {"X": 1000},
+                 _ok([10**15 % prod(_M6)], *[{"IN1": 1000, "MUL": 10**k} for k in (6, 12, 15)]),
+                 id="function2-fifth-power-six-moduli"),
     # 13 = 0b1101: X * X, times X, square, square, times X with the emit
     pytest.param((42, 43, 41), builtin_function2(13), {"X": 2},
                  _ok([8192], *[{"IN1": 2, "MUL": 2**k} for k in (2, 3, 6, 12, 13)]),
