@@ -171,16 +171,17 @@ def find_moduli(req: GenerationRequest) -> tuple[ModuliSet, GenerationTrace]:
     cardinality: a square root for the next-to-last slot and k itself
     for the last.
 
-    Each slot's root is a Newton iteration started at an upper bound on
-    it: c + 1 for the first extra slot, the previous pick for each later
-    one.  The even center puts 2 in the product, so the search visits odd
-    candidates only, from max(k_root, 3).  Each is screened by a gcd with
-    the product's odd prime factors below 60, and one that passes gets a
-    gcd against the product of all picks, at most once per call: the
-    picks and the candidates already visited are skipped without it.
+    Each slot's root is passed an upper bound on it: c + 1 for the first
+    extra slot, the previous pick for each later one.  2 and 3 divide
+    (c - 1)c(c + 1), so the search visits only candidates prime to 6 from
+    max(k_root, 3), stepping +2 and +4 in turn.  Each is screened by a gcd
+    with the product's odd prime factors below 60, and one that passes
+    gets a gcd against the product of all picks, at most once per call:
+    the picks and the candidates already visited are skipped by a lookup.
 
-    Moduli are returned in generation order, center first.  The
-    accompanying trace records x and every extra slot's (k, k_root).
+    Moduli are returned in generation order, center first, and the
+    product the loop carried is the set's dynamic_range.  The trace
+    records x and every extra slot's (k, k_root).
     """
     target = check_bits(req.bits)
     x = ceil_nth_root(target, req.cardinality)
@@ -206,12 +207,12 @@ def find_moduli(req: GenerationRequest) -> tuple[ModuliSet, GenerationTrace]:
     # The product only grows, so what an earlier slot found stays exact.
     # A pick, or a candidate that shared a factor with the product, shares
     # it with every later product: `seen` holds the odd picks and every
-    # candidate visited, and none gets a second full gcd.  k is carried by
-    # ceil(ceil(a / b) / m) = ceil(a / (b * m)).
+    # candidate visited, and one met again costs a lookup, no gcd or add.
+    # k is carried by ceil(ceil(a / b) / m) = ceil(a / (b * m)).
     seen = {center - 1, center + 1}
     k = (target + product - 1) // product
-    # The even center puts 2 in the product, so only odd candidates can be
-    # coprime to it.  A candidate sharing a factor with `small`, the
+    # 2 and 3 divide (c - 1)c(c + 1), so the walk steps over their multiples
+    # on the wheel mod 6.  A candidate sharing a factor with `small`, the
     # product's odd primes below 60, shares it with the product; one that
     # passes gets the full gcd.  Each pick is coprime to the product, so
     # `small` grows by the pick's own small primes.
@@ -219,17 +220,25 @@ def find_moduli(req: GenerationRequest) -> tuple[ModuliSet, GenerationTrace]:
     for j in range(1, req.cardinality - 2):
         k_root = ceil_nth_root(k, req.cardinality - 2 - j, start=bound)
         candidate = max(k_root, 3) | 1
-        while candidate in seen or gcd(candidate, small) != 1 or gcd(candidate, product) != 1:
-            seen.add(candidate)
+        if candidate % 3 == 0:
             candidate += 2
-        seen.add(candidate)
+        step = 4 if candidate % 3 == 1 else 2
+        while True:
+            if candidate not in seen:
+                seen.add(candidate)
+                if gcd(candidate, small) == 1 and gcd(candidate, product) == 1:
+                    break
+            candidate += step
+            step = 6 - step
         extras.append((k, k_root))
         picked.append(candidate)
         product *= candidate
         small *= gcd(candidate, SMALL_ODD_PRIMES)
         k = (k + candidate - 1) // candidate
         bound = candidate
-    return ModuliSet(tuple(picked)), GenerationTrace(x, tuple(extras))
+    moduli_set = object.__new__(ModuliSet)
+    moduli_set.__setstate__((tuple(picked), product))
+    return moduli_set, GenerationTrace(x, tuple(extras))
 
 
 def baseline(scheme: SchemeId, bits: int) -> ModuliSet:

@@ -7,7 +7,7 @@ float root/log shortcuts misround exactly at the power boundaries
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, isqrt
 
 __all__ = [
     "ceil_nth_root",
@@ -25,23 +25,24 @@ def ceil_nth_root(v: int, n: int, *, start: int | None = None) -> int:
     """Smallest r with r**n >= v, i.e. the ceiling of the real n-th root.
 
     Requires ints v >= 1 and n >= 1 (TypeError for a bool or a non-int).
-    Exact integer Newton iteration from above, starting at
-    2**ceil(bitlen/n) > v**(1/n), or at `start` when that is smaller.  A
-    caller that knows an upper bound on the root passes it as `start`: an
-    int >= 1 with start**n >= v, else ValueError (TypeError if not an int).
+    A square root is math.isqrt(v - 1) + 1.  Any other root is an exact
+    integer Newton iteration from above, starting at 2**ceil(bitlen/n) >
+    v**(1/n), or at `start` when that is smaller.  A caller that knows an
+    upper bound on the root passes it as `start`: an int >= 1 with
+    start**n >= v, else ValueError (TypeError if not an int), at every n.
     """
     if type(v) is not int or type(n) is not int or v < 1 or n < 1:
         check_int("v", v, 1)
         check_int("n", n, 1)
-    e = (v.bit_length() + n - 1) // n
-    x, p = 1 << e, 1 << (e * (n - 1))
     if start is not None:
         if type(start) is not int:
             check_int("start", start)
         if start < 1 or (q := start ** (n - 1)) * start < v:
             raise ValueError(f"ceil_nth_root start must be >= 1 with start**n >= v, got {start}")
-        if start < x:
-            x, p = start, q
+    if n == 2:
+        return isqrt(v - 1) + 1
+    e = (v.bit_length() + n - 1) // n
+    x, p = (start, q) if start is not None and start < 1 << e else (1 << e, 1 << (e * (n - 1)))
     # From any x at or above s, the floor of the real root, the step is at least s
     # by AM-GM, and below x while x exceeds s; at x = s it is at least x.  So the
     # loop stops at s, and the answer is s or s + 1; for n = 1 every step is v.  Each

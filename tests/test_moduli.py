@@ -322,6 +322,16 @@ def test_small_primes_never_meet_a_product_wider_than_the_triple(monkeypatch, bi
         assert calls[i - 1] == (candidate, gcd(product, SMALL_ODD_PRIMES))
 
 
+@pytest.mark.parametrize("bits,cardinality", SEARCH_CELLS)
+def test_walk_never_visits_a_multiple_of_3(monkeypatch, bits, cardinality):
+    # 3 divides (c - 1)c(c + 1), so the walk steps around the multiples of 3:
+    # after the triple's screen, no gcd is taken of one
+    moduli_set, calls = gen_recording_gcd(monkeypatch, bits, cardinality)
+    assert calls[0] == (prod(moduli_set.moduli[:3]), SMALL_ODD_PRIMES)
+    assert len(calls) > 1
+    assert [a for a, b in calls[1:] if a % 3 == 0] == []
+
+
 def bisection_ceil_root(v, n):
     """The binary-search root, as in tests/test_numbers.py."""
     if n == 1:
@@ -386,7 +396,10 @@ def test_generator_matches_reference_bit_for_bit():
             with pytest.raises(RangeTooSmallError):
                 gen(bits, t)
         else:
-            assert gen(bits, t) == expected, (bits, t)
+            # ModuliSet equality leaves dynamic_range out, so it is compared too
+            got = gen(bits, t)
+            assert got == expected, (bits, t)
+            assert got[0].dynamic_range == expected[0].dynamic_range, (bits, t)
 
 
 @given(bits=st.integers(min_value=64, max_value=2048), t=st.integers(min_value=3, max_value=24))

@@ -50,10 +50,10 @@ def test_root_rejects_bad_domain():
     with pytest.raises(ValueError):
         ceil_nth_root(5, 0)
     # a start below 1, one whose n-th power is positive anyway (even n), one
-    # whose n-th power falls short of v, a short one at n = 1, and one just
-    # short of a root at the generator's widths
+    # whose n-th power falls short of v, a short one at n = 1, one just short
+    # of a root at the generator's widths, and one just short of a square root
     wide = 2**2048 - 1
-    short = [(wide, 24, bisection_ceil_root(wide, 24) - 1)]
+    short = [(wide, 24, bisection_ceil_root(wide, 24) - 1), (10**1000, 2, 10**500 - 1)]
     for v, n, start in [(5, 3, 0), (16, 4, -3), (65537, 4, 16), (6, 1, 5)] + short:
         with pytest.raises(ValueError, match=r"^ceil_nth_root start must be >= 1 with start\*\*n >= v, got -?\d+$"):
             ceil_nth_root(v, n, start=start)
