@@ -25,7 +25,7 @@ from operator import add, mod, mul, sub
 
 from ._record import Record
 from .moduli import ModuliSet, structural_faults
-from .numbers import NotCoprimeError, check_int, mod_inverse
+from .numbers import check_int, mod_inverse
 
 __all__ = [
     "RnsContext",
@@ -48,17 +48,23 @@ class RnsError(ValueError):
     """Invalid moduli set, residue vector, or mismatched context."""
 
 
-def _remainder_tree(moduli: tuple[int, ...], product: int) -> tuple:
-    """Node (product, moduli, halves); halves is () at a leaf, else two nodes by count."""
+def _remainder_tree(moduli: tuple[int, ...], product: int) -> tuple | None:
+    """Node (product, moduli, halves); halves is () at a leaf, else two nodes by count.
+
+    None unless the moduli are pairwise coprime: at each split the halves' products
+    have gcd 1, and in each leaf every modulus has gcd 1 with the product of those before it.
+    """
     if product.bit_length() <= _LEAF_BITS or len(moduli) == 1:
+        seen = 1
+        for m in moduli:
+            if gcd(seen, m) != 1:
+                return None
+            seen *= m
         return (product, moduli, ())
     half = len(moduli) // 2
     left = prod(moduli[:half])
-    return (
-        product,
-        moduli,
-        (_remainder_tree(moduli[:half], left), _remainder_tree(moduli[half:], product // left)),
-    )
+    halves = (_remainder_tree(moduli[:half], left), _remainder_tree(moduli[half:], product // left))
+    return (product, moduli, halves) if all(halves) and gcd(left, halves[1][0]) == 1 else None
 
 
 def _remainders(x: int, node: tuple) -> tuple[int, ...]:
@@ -76,13 +82,13 @@ class RnsContext(Record):
     crt_coeffs[i] is M_i * y_i (M_i = M / m_i, y_i = M_i^-1 mod m_i) on a
     one-leaf set: 1 modulo m_i and 0 modulo every other modulus.  On a split
     set it is (P_h / m_i) * y_i, P_h the product of m_i's half; times the
-    other half's product it is M_i * y_i.  The remainder tree that to_rns
-    walks is built here too; both derive from the set and are left out of
-    equality and repr.  Immutable after construction; thread-safe.
+    other half's product it is M_i * y_i.  to_rns's remainder tree is built
+    here, the coefficients on first use (() until then); both are kept, out
+    of equality and repr.  Two racing first uses at worst build them twice.
     """
 
     FIELDS = ("moduli_set",)
-    __slots__ = (*FIELDS, "crt_coeffs", "_tree")
+    __slots__ = (*FIELDS, "_tree", "_crt_coeffs")
 
     def __init__(self, moduli_set: ModuliSet) -> None:
         self.__post_init__(moduli_set)
@@ -97,18 +103,23 @@ class RnsContext(Record):
             if m < 2:
                 raise RnsError(f"modulus {m} < 2")
         tree = _remainder_tree(ms, moduli_set.dynamic_range)
-        # a leaf is one half, and the other half is empty, with product 1
-        left, right = tree[2] or (tree, (1, (), ()))
-        coeffs = []
-        try:
+        if tree is None:
+            a, b = structural_faults(ms)[1][0]
+            raise RnsError(f"moduli {a} and {b} are not coprime (gcd = {gcd(a, b)})")
+        self.__setstate__((moduli_set, tree, ()))
+
+    @property
+    def crt_coeffs(self) -> tuple[int, ...]:
+        if not self._crt_coeffs:
+            # a leaf is one half, and the other half is empty, with product 1
+            left, right = self._tree[2] or (self._tree, (1, (), ()))
+            coeffs = []
             for (part, hms, _), (other, _, _) in ((left, right), (right, left)):
                 for m in hms:
                     partial = part // m
                     coeffs.append(partial * mod_inverse(partial % m * (other % m), m))
-        except NotCoprimeError:
-            a, b = structural_faults(ms)[1][0]
-            raise RnsError(f"moduli {a} and {b} are not coprime (gcd = {gcd(a, b)})") from None
-        self.__setstate__((moduli_set, tuple(coeffs), tree))
+            RnsContext._crt_coeffs.__set__(self, tuple(coeffs))
+        return self._crt_coeffs
 
 
 class RnsNumber(Record):
@@ -171,11 +182,12 @@ def from_rns(ctx: RnsContext, value: RnsNumber) -> int:
     """Recover the unique integer in [0, M) with the given residues."""
     if value.moduli_set is not ctx.moduli_set:
         _check_operand(ctx, value)
+    c = ctx._crt_coeffs or ctx.crt_coeffs
     total, _, halves = ctx._tree
     if not halves:
-        return sum(map(mul, value.residues, ctx.crt_coeffs)) % total
+        return sum(map(mul, value.residues, c)) % total
     (p_l, lms, _), (p_r, _, _) = halves
-    r, c, k = value.residues, ctx.crt_coeffs, len(lms)
+    r, k = value.residues, len(lms)
     return (p_r * sum(map(mul, r[:k], c)) + p_l * sum(map(mul, r[k:], c[k:]))) % total
 
 

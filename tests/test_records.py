@@ -43,6 +43,8 @@ NONE = Source.NONE
 
 MS = ModuliSet((8, 9, 7))
 CTX = RnsContext(MS)
+# the first reverse conversion fills the last private slot, the CRT coefficients (() before it)
+from_rns(CTX, to_rns(CTX, 36))
 SET32, TRACE32 = find_moduli(GenerationRequest(bits=32, cardinality=6))
 STEP = Step(inject_a="X", inject_b=3, add_l=Source.IN1, add_r=Source.IN2)
 ROW = ComparisonRow(16, SchemeId("proposed", 3), (42, 43, 41), 18, "a note")
@@ -58,7 +60,7 @@ INSTANCES = {
         ("small_moduli", "conflicting_pairs", "shortfall"),
         (),
     ),
-    RnsContext: (CTX, ("moduli_set",), ("crt_coeffs", "_tree")),
+    RnsContext: (CTX, ("moduli_set",), ("_tree", "_crt_coeffs")),
     RnsNumber: (to_rns(CTX, 36), ("residues", "moduli_set"), ()),
     Step: (
         STEP,

@@ -1,13 +1,18 @@
+import copy
+import pickle
 import random
+import sys
+import threading
 from functools import cache
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rnskit import rns
-from rnskit.moduli import GenerationRequest, ModuliSet, find_moduli
+from rnskit.moduli import GenerationRequest, ModuliSet, find_moduli, structural_faults
+from rnskit.numbers import mod_inverse
 from rnskit.rns import (
     _LEAF_BITS,
     RnsContext,
@@ -309,6 +314,142 @@ def test_valid_context_skips_the_pairwise_scan(monkeypatch):
     monkeypatch.setattr(rns, "structural_faults", forbidden)
     moduli_set = find_moduli(GenerationRequest(1024, 16))[0]
     assert len(RnsContext(moduli_set).crt_coeffs) == 16
+
+
+def build_error(moduli):
+    """RnsContext's message for the set, or None when it builds."""
+    try:
+        RnsContext(ModuliSet(moduli))
+    except RnsError as exc:
+        return str(exc)
+    return None
+
+
+def scan_error(moduli):
+    """Each check's message in turn; a coprimality fault names the pairwise scan's first pair."""
+    if not moduli:
+        return "moduli set is empty"
+    small, pairs = structural_faults(moduli)
+    if small:
+        return f"modulus {small[0]} < 2"
+    if pairs:
+        a, b = pairs[0]
+        return f"moduli {a} and {b} are not coprime (gcd = {gcd(a, b)})"
+    return None
+
+
+@given(moduli=st.lists(st.integers(-2, 60), max_size=7))
+@settings(max_examples=400)
+def test_coprimality_test_agrees_with_the_pairwise_scan(moduli):
+    # 0, 1, negatives, duplicates and shared factors all come up among small ints
+    assert build_error(tuple(moduli)) == scan_error(tuple(moduli))
+
+
+SPLIT_SET = find_moduli(GenerationRequest(2048, 24))[0].moduli
+
+
+@given(i=st.integers(0, 23), j=st.integers(0, 23), k=st.integers(1, 9))
+@settings(max_examples=60, deadline=None)
+def test_split_set_with_a_multiple_agrees_with_the_pairwise_scan(i, j, k):
+    moduli = SPLIT_SET[:j] + (k * SPLIT_SET[i],) + SPLIT_SET[j + 1:]
+    assert build_error(moduli) == scan_error(moduli)
+
+
+def leaf_split(moduli):
+    """The remainder tree's leaves, split by count while wider than _LEAF_BITS."""
+    if prod(moduli).bit_length() <= _LEAF_BITS or len(moduli) == 1:
+        return [moduli]
+    half = len(moduli) // 2
+    return leaf_split(moduli[:half]) + leaf_split(moduli[half:])
+
+
+# (i, j, k): modulus j becomes k times modulus i, the set's one non-coprime pair,
+# caught only by a leaf's running gcd, or only by the gcd at the root split
+@pytest.mark.parametrize("i,j,k,where", [(2, 5, 5, "same-leaf"), (1, 20, 7, "across-halves")])
+def test_split_set_names_a_pair_only_one_gcd_can_see(i, j, k, where):
+    assert leaf_split(SPLIT_SET) == tree_leaves(RnsContext(ModuliSet(SPLIT_SET))._tree)
+    moduli = SPLIT_SET[:j] + (k * SPLIT_SET[i],) + SPLIT_SET[j + 1:]
+    a, b = SPLIT_SET[i], k * SPLIT_SET[i]
+    assert structural_faults(moduli)[1] == ((a, b),)
+    leaves = leaf_split(moduli)
+    assert len(leaves) > 2
+    if where == "same-leaf":
+        assert any({a, b} <= set(leaf) for leaf in leaves)
+    else:
+        assert a in moduli[:12] and b in moduli[12:]
+    assert build_error(moduli) == f"moduli {a} and {b} are not coprime (gcd = {a})"
+
+
+def test_coefficients_wait_for_the_first_reverse_conversion(monkeypatch):
+    calls = []
+
+    def counting(a, m):
+        calls.append(m)
+        return mod_inverse(a, m)
+
+    monkeypatch.setattr(rns, "mod_inverse", counting)
+    moduli_set = find_moduli(GenerationRequest(2048, 24))[0]
+    ctx = RnsContext(moduli_set)
+    assert calls == []
+    x = moduli_set.dynamic_range // 3
+    assert from_rns(ctx, to_rns(ctx, x)) == x
+    assert calls == list(moduli_set.moduli)
+    assert from_rns(ctx, to_rns(ctx, x + 1)) == x + 1
+    assert len(calls) == 24
+    # read first, crt_coeffs builds the very tuple from_rns then uses
+    calls.clear()
+    read_first = RnsContext(moduli_set)
+    coeffs = read_first.crt_coeffs
+    assert len(calls) == 24 and coeffs == ctx.crt_coeffs
+    assert from_rns(read_first, to_rns(read_first, x)) == x
+    assert len(calls) == 24 and read_first._crt_coeffs is coeffs
+
+
+COPIERS = {
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("converted", [False, True], ids=["never-converted", "converted"])
+@pytest.mark.parametrize("how", list(COPIERS))
+def test_copies_of_a_context_before_and_after_its_first_conversion(how, converted):
+    ctx = RnsContext(find_moduli(GenerationRequest(2048, 24))[0])
+    x = ctx.moduli_set.dynamic_range - 12345
+    if converted:
+        assert from_rns(ctx, to_rns(ctx, x)) == x
+    back = COPIERS[how](ctx)
+    assert back == ctx and back._tree == ctx._tree
+    # a copy carries the coefficients once built, and copying builds none
+    assert bool(back._crt_coeffs) == bool(ctx._crt_coeffs) == converted
+    assert back.crt_coeffs == ctx.crt_coeffs
+    assert from_rns(back, to_rns(back, x)) == from_rns(ctx, to_rns(ctx, x)) == x
+
+
+def test_racing_first_conversions_each_get_their_value():
+    ctx = RnsContext(find_moduli(GenerationRequest(2048, 24))[0])
+    values = [ctx.moduli_set.dynamic_range // (n + 2) for n in range(4)]
+    numbers = [to_rns(ctx, x) for x in values]
+    results = [None] * 4
+    start = threading.Barrier(4)
+
+    def convert(n):
+        start.wait(timeout=10)
+        results[n] = from_rns(ctx, numbers[n])
+
+    threads = [threading.Thread(target=convert, args=(n,)) for n in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == values
 
 
 # --- channel arithmetic --------------------------------------------------------------
