@@ -52,6 +52,32 @@ def test_tests_import_each_function_and_class_from_its_own_module():
     assert misplaced == []
 
 
+def _duplicate_defs(sources: dict[str, str]) -> list[tuple[str, list[str]]]:
+    """Each top-level def that two sources write alike, as (name, files).
+
+    Alike means the same name, parameter names and body; docstrings and
+    annotations are left out, so a copied oracle re-documented still counts.
+    """
+    where: dict[tuple, list[str]] = {}
+    for filename, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef):
+                body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+                params = tuple(arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg))
+                key = (node.name, params, tuple(ast.dump(stmt) for stmt in body))
+                where.setdefault(key, []).append(filename)
+    return [(key[0], files) for key, files in where.items() if len(files) > 1]
+
+
+def test_no_two_test_modules_define_the_same_function():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted((ROOT / "tests").glob("*.py"))}
+    assert _duplicate_defs(sources) == []
+    # the guard itself: a re-documented, annotated copy counts; a same-named other body does not
+    copy = 'def root(v: int) -> int:\n    """Documented again."""\n    return v\n'
+    sources = {"a.py": "def root(v):\n    return v\n", "b.py": copy, "c.py": "def root(v):\n    return -v\n"}
+    assert _duplicate_defs(sources) == [("root", ["a.py", "b.py"])]
+
+
 def test_benchmark_names_resolve_on_the_root():
     tree = ast.parse((ROOT / "benchmarks" / "workloads.py").read_text(encoding="utf-8"))
     names = {

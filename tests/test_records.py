@@ -9,9 +9,7 @@ cache. A last test checks that importing the package and its CLI loads
 none of the heavy introspection modules.
 """
 
-import copy
 import inspect
-import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +34,8 @@ from rnskit import (
     validate,
 )
 from rnskit.moduli import GenerationTrace, ValidationReport
+
+from helpers import COPIERS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 EMPTY = inspect.Parameter.empty
@@ -121,11 +121,6 @@ REPRS = {
 }
 
 TYPES = list(INSTANCES)
-COPIERS = {
-    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
-    "copy": copy.copy,
-    "deepcopy": copy.deepcopy,
-}
 
 
 def test_every_value_type_is_covered():
