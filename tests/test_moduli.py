@@ -27,7 +27,97 @@ def gen(bits, cardinality):
     return find_moduli(GenerationRequest(bits, cardinality))
 
 
+# --- generator outputs ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "bits,cardinality,expected",
+    [
+        (32, 3, (1626, 1627, 1625)),
+        (32, 4, (256, 257, 255, 259)),
+        (32, 6, (42, 43, 41, 47, 37, 53)),
+        (16, 6, (8, 9, 7, 11, 5, 13)),
+        (12, 6, (4, 5, 3, 7, 11, 13)),  # final k = 1, floored to candidate 2
+        (6, 3, (6, 7, 5)),  # 4*5*3 = 60 < 63 forces one increment
+        (24, 3, (258, 259, 257)),  # 256*257*255 = 16776960 < 2**24 - 1
+    ],
+)
+def test_generated_sets(bits, cardinality, expected):
+    moduli_set, _ = gen(bits, cardinality)
+    assert moduli_set.moduli == expected
+
+
+def test_generated_set_range_and_product():
+    moduli_set, _ = gen(24, 3)
+    assert moduli_set.dynamic_range == 258 * 259 * 257
+    assert moduli_set.dynamic_range >= 2**24 - 1
+    assert 256 * 257 * 255 < 2**24 - 1  # why the smaller triple is rejected
+
+
+def test_trace_fields():
+    moduli_set, trace = gen(32, 6)
+    assert trace.x == 41
+    assert moduli_set.moduli[0] == 42
+    assert trace.extras == ((58005, 39), (1235, 36), (34, 34))
+    assert moduli_set.moduli[3:] == (47, 37, 53)
+    assert len(trace.extras) == len(moduli_set.moduli) - 3
+
+
+def test_trace_quadruple_intermediate():
+    moduli_set, trace = gen(32, 4)
+    assert trace.extras == ((257, 257),)
+    assert moduli_set.moduli[3:] == (259,)
+
+
+def test_cardinality_below_three_rejected():
+    with pytest.raises(CardinalityError):
+        GenerationRequest(16, 2)
+
+
+def test_bits_too_small_for_cardinality():
+    with pytest.raises(RangeTooSmallError):
+        gen(4, 7)
+
+
+def test_bits_below_two_rejected():
+    with pytest.raises(RangeTooSmallError):
+        GenerationRequest(1, 3)
+
+
+@pytest.mark.parametrize(
+    "bits,cardinality,field",
+    [
+        (32.0, 6, "bits"),
+        (32, 6.0, "cardinality"),
+        ("32", 6, "bits"),
+        (True, 3, "bits"),
+        (64, True, "cardinality"),
+    ],
+)
+def test_request_rejects_a_field_that_is_not_an_int(bits, cardinality, field):
+    with pytest.raises(TypeError, match=f"^{field} .+ is not an int$"):
+        GenerationRequest(bits, cardinality)
+
+
 # --- baselines ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "family,bits,expected",
+    [
+        ("sm1", 24, (512, 513, 511)),  # 256*257*255 falls 255 short, so n=9
+        ("sm2", 16, (64, 63, 31)),
+        ("sm3", 16, (257, 17, 15)),  # product 65535 meets the bound exactly
+        ("sm2", 32, (4096, 4095, 2047)),  # n=11 gives 4288677888 < 2**32 - 1
+    ],
+)
+def test_baseline_members(family, bits, expected):
+    assert baseline(SchemeId.parse(family), bits).moduli == expected
+
+
+def test_baseline_exact_bound():
+    member = baseline(SchemeId.parse("sm3"), 16)
+    assert member.dynamic_range == 2**16 - 1
 
 
 def test_baseline_rejects_proposed():
@@ -91,6 +181,18 @@ def test_baseline_is_the_first_covering_family_member(family):
 # --- bit cost -------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "moduli,expected",
+    [
+        ((42, 43, 41), 18),
+        ((2048, 2049, 2047), 35),
+        ((2,), 2),
+    ],
+)
+def test_bit_cost(moduli, expected):
+    assert bit_cost(ModuliSet(moduli)) == expected
+
+
 @pytest.mark.parametrize("moduli", [(0,), (8, 0, 7), (8, 9, -7), (-1,)])
 def test_bit_cost_rejects_modulus_below_one(moduli):
     with pytest.raises(ValueError, match=r"^bit_cost requires moduli >= 1, got -?\d+$"):
@@ -105,6 +207,12 @@ def test_bit_cost_is_the_sum_of_binary_digits(moduli):
 
 
 # --- validate -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("moduli", [(8.5, 9, 7), (True, 9, 7), (8, "9", 7)])
+def test_moduli_set_rejects_non_int(moduli):
+    with pytest.raises(TypeError):
+        ModuliSet(moduli)
 
 
 def test_generated_set_is_not_bit_minimal():
@@ -291,6 +399,17 @@ def test_generator_matches_reference_across_gen_sweep(bits, t):
     assert gen(bits, t) == reference_generator(bits, t), (bits, t)
 
 
+def test_generation_is_deterministic():
+    assert gen(32, 5) == gen(32, 5)
+
+
+def test_triple_cost_never_worse_than_power_of_two_family():
+    sm1 = SchemeId.parse("sm1")
+    for bits in range(4, 65):
+        ours, _ = gen(bits, 3)
+        assert bit_cost(ours) <= bit_cost(baseline(sm1, bits)), bits
+
+
 def test_triple_cost_against_every_baseline_family_at_widths_4_to_1024():
     # README's numbers: (cheaper, tied, dearer) widths per family, and where
     # proposed3 loses to sm3, by how many bits
@@ -307,3 +426,13 @@ def test_triple_cost_against_every_baseline_family_at_widths_4_to_1024():
     assert dearer == {("sm3", bits): 1 for bits in [8, *range(12, 1025, 12)]}
     assert baseline(SchemeId.parse("sm3"), 12).moduli == (65, 9, 7)
     assert gen(12, 3)[0].moduli == (18, 19, 17)
+
+
+@given(bits=st.integers(min_value=4, max_value=64))
+@settings(max_examples=64)
+def test_consecutive_triple_pairwise_coprime(bits):
+    moduli_set, _ = gen(bits, 3)
+    c = moduli_set.moduli[0]
+    assert gcd(c - 1, c) == 1
+    assert gcd(c, c + 1) == 1
+    assert gcd(c - 1, c + 1) == 1  # both odd neighbours of an even center

@@ -25,7 +25,32 @@ def naive_power(r: int, n: int) -> int:
     return out
 
 
-def test_root_rejects_a_start_short_of_the_root():
+def test_root_32bit_cube():
+    assert ceil_nth_root(2**32 - 1, 3) == 1626
+
+
+def test_root_32bit_fifth():
+    assert ceil_nth_root(2**32 - 1, 5) == 85
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_root_of_one(n):
+    assert ceil_nth_root(1, n) == 1
+
+
+def test_root_near_exact_power():
+    # 15**4 = 50625 < 65535 <= 16**4 = 65536, so the ceiling is 16
+    assert naive_power(15, 4) < 65535 <= naive_power(16, 4)
+    assert ceil_nth_root(65535, 4) == 16
+    assert ceil_nth_root(65536, 4) == 16
+    assert ceil_nth_root(65537, 4) == 17
+
+
+def test_root_rejects_bad_domain():
+    with pytest.raises(ValueError):
+        ceil_nth_root(0, 3)
+    with pytest.raises(ValueError):
+        ceil_nth_root(5, 0)
     # a start below 1, one whose n-th power is positive anyway (even n), one
     # whose n-th power falls short of v, a short one at n = 1, one just short
     # of a root at the generator's widths, and one just short of a square root
@@ -48,8 +73,6 @@ WIDE_POWERS = [
     # wide roots at the generator's cardinalities, up to 24, and 2**128 for
     # (2**8192 - 1, 64), the widest request, where Newton starts at the root
     (2**86 - 1, 24), (3**54 + 2, 17), (10**40 + 1, 8), (2**400 + 3, 5), (2**128, 64),
-    # 16**4 = 65536: 65535 and 65536 both have the ceiling 16, and 65537 has 17
-    (16, 4),
 ]
 
 
@@ -66,8 +89,6 @@ def at_powers(**extra):
 
 
 @at_powers()
-@example(v=2**32 - 1, n=3)
-@example(v=2**32 - 1, n=5)
 @given(v=root_values, n=st.integers(min_value=1, max_value=64))
 @settings(max_examples=400)
 def test_root_bracket_property(v, n):
@@ -103,16 +124,38 @@ def test_root_matches_bisection_on_every_small_value():
 # --- mod_inverse ----------------------------------------------------------------
 
 
+def scan_inverse(a: int, m: int) -> int:
+    """Independent oracle: linear scan for the inverse."""
+    for y in range(1, m):
+        if (a * y) % m == 1:
+            return y
+    raise AssertionError(f"no inverse of {a} mod {m}")
+
+
+def test_inverse_small_case():
+    assert scan_inverse(3, 7) == 5
+    assert mod_inverse(3, 7) == 5
+
+
+@pytest.mark.parametrize("m", [2, 7, 504, 65537])
+def test_inverse_of_one(m):
+    assert mod_inverse(1, m) == 1
+
+
+def test_inverse_rejects_non_coprime():
+    with pytest.raises(NotCoprimeError):
+        mod_inverse(4, 8)
+
+
+def test_inverse_rejects_tiny_modulus():
+    with pytest.raises(ValueError):
+        mod_inverse(3, 1)
+
+
 @given(
     a=st.integers(min_value=1, max_value=2**32),
     m=st.integers(min_value=2, max_value=2**32),
 )
-@example(a=3, m=7)
-@example(a=4, m=8)
-@example(a=1, m=2)
-@example(a=1, m=7)
-@example(a=1, m=504)
-@example(a=1, m=65537)
 def test_inverse_law(a, m):
     if gcd(a % m, m) != 1:
         with pytest.raises(NotCoprimeError):
