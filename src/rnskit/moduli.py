@@ -172,10 +172,10 @@ def find_moduli(req: GenerationRequest) -> tuple[ModuliSet, GenerationTrace]:
     for the last.
 
     Each slot's root is passed an upper bound on it: c + 1 for the first
-    extra slot, the previous pick for each later one.  2 and 3 divide
-    (c - 1)c(c + 1), so the search visits only candidates prime to 6 from
-    max(k_root, 3), stepping +2 and +4 in turn.  Each is screened by a gcd
-    with the product's odd prime factors below 60, and one that passes
+    extra slot, the previous slot's k_root for each later one.  2 and 3
+    divide (c - 1)c(c + 1), so the search visits only candidates prime to 6
+    from max(k_root, 3), stepping +2 and +4 in turn.  Each is screened by a
+    gcd with the product's odd prime factors below 60, and one that passes
     gets a gcd against the product of all picks, at most once per call:
     the picks and the candidates already visited are skipped by a lookup.
 
@@ -197,13 +197,12 @@ def find_moduli(req: GenerationRequest) -> tuple[ModuliSet, GenerationTrace]:
     picked = [center, center + 1, center - 1]
     product = center * (center + 1) * (center - 1)
     extras = []
-    # Each slot's root is at most the pick before it, so Newton starts
-    # there.  Slot 1: x**t >= target and c >= x, so target / (c**3 - c) <=
-    # c**t / (c**3 - c) <= (c + 1)**(t - 3) for c >= 2 and t >= 4, and the
-    # root is at most c + 1.  Slot j >= 2 with n_j = t - 2 - j: the slot
-    # before left target / P <= k <= k_root**(n_j + 1) <= m**(n_j + 1) for
-    # its pick m, so k_j = ceil(target / (P * m)) <= m**n_j.
-    bound = center + 1
+    # Newton starts each slot's root at a proven bound on it.  Slot 1:
+    # x**t >= target and c >= x, so target / (c**3 - c) <= c**t / (c**3 - c)
+    # <= (c + 1)**(t - 3) for c >= 2 and t >= 4: the root is at most c + 1.
+    # Slot j >= 2, n_j = t - 2 - j: the slot before had k <= k_root**(n_j + 1)
+    # and picked m >= k_root, so k_j = ceil(k / m) <= k_root**n_j.
+    k_root = center + 1
     # The product only grows, so what an earlier slot found stays exact.
     # A pick, or a candidate that shared a factor with the product, shares
     # it with every later product: `seen` holds the odd picks and every
@@ -218,7 +217,7 @@ def find_moduli(req: GenerationRequest) -> tuple[ModuliSet, GenerationTrace]:
     # `small` grows by the pick's own small primes.
     small = gcd(product, SMALL_ODD_PRIMES)
     for j in range(1, req.cardinality - 2):
-        k_root = ceil_nth_root(k, req.cardinality - 2 - j, start=bound)
+        k_root = ceil_nth_root(k, req.cardinality - 2 - j, start=k_root)
         candidate = max(k_root, 3) | 1
         if candidate % 3 == 0:
             candidate += 2
@@ -235,7 +234,6 @@ def find_moduli(req: GenerationRequest) -> tuple[ModuliSet, GenerationTrace]:
         product *= candidate
         small *= gcd(candidate, SMALL_ODD_PRIMES)
         k = (k + candidate - 1) // candidate
-        bound = candidate
     moduli_set = object.__new__(ModuliSet)
     moduli_set.__setstate__((tuple(picked), product))
     return moduli_set, GenerationTrace(x, tuple(extras))
@@ -246,9 +244,7 @@ def baseline(scheme: SchemeId, bits: int) -> ModuliSet:
 
     bits is an int >= 2, not a bool.  Bisects for the smallest family
     parameter n whose member has all moduli >= 2 and a product reaching the
-    target.  n lies in [1, bits + 1]: at n = bits every member's product
-    reaches the target, and only sm2's third modulus 2**(n-1) - 1 can still
-    be below 2, which at bits = 2 takes n = 3 = bits + 1.
+    target, over n in [max(1, bits // 4), max(3, bits // 3 + 2)].
     """
     if scheme.family not in BASELINE_FAMILIES:
         raise ValueError(f"baseline requires one of {tuple(BASELINE_FAMILIES)}, got {scheme.label}")
@@ -261,7 +257,10 @@ def baseline(scheme: SchemeId, bits: int) -> ModuliSet:
         ms = member(1 << n)
         return min(ms) >= 2 and prod(ms) >= target
 
-    n = bisect_left(range(bits + 2), True, lo=1, key=covers)
+    # Every member's product is below 2**(4n), so none covers below bits / 4.
+    # At n = max(3, bits // 3 + 2) all moduli are >= 2 and each product is at
+    # least p**3 / 4 = 2**(3n - 2) > 2**bits, so every member covers there.
+    n = bisect_left(range(max(4, bits // 3 + 3)), True, max(1, bits // 4), key=covers)
     return ModuliSet(member(1 << n))
 
 
@@ -273,7 +272,7 @@ def bit_cost(moduli_set: ModuliSet) -> int:
     for m in moduli_set.moduli:
         if m < 1:
             raise ValueError(f"bit_cost requires moduli >= 1, got {m}")
-    return sum(m.bit_length() for m in moduli_set.moduli)
+    return sum(map(int.bit_length, moduli_set.moduli))
 
 
 def structural_faults(ms: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:

@@ -25,10 +25,11 @@ def ceil_nth_root(v: int, n: int, *, start: int | None = None) -> int:
     """Smallest r with r**n >= v, i.e. the ceiling of the real n-th root.
 
     Requires ints v >= 1 and n >= 1 (TypeError for a bool or a non-int).
-    A square root is math.isqrt(v - 1) + 1.  Any other root is an exact
-    integer Newton iteration from above, starting at 2**ceil(bitlen/n) >
-    v**(1/n), or at `start` when that is smaller.  A caller that knows an
-    upper bound on the root passes it as `start`: an int >= 1 with
+    A first root is v, a square root math.isqrt(v - 1) + 1, and any other an
+    exact integer Newton iteration from above that starts at `start` or, if
+    lower, the chord bound ceil(2**q * (n + r) / n) > v**(1/n) for a width
+    of q*n + r bits, 0 <= r < n (2**u <= 1 + u on [0, 1]).  A caller that
+    knows an upper bound on the root passes it as `start`: an int >= 1 with
     start**n >= v, else ValueError (TypeError if not an int), at every n.
     """
     if type(v) is not int or type(n) is not int or v < 1 or n < 1:
@@ -37,16 +38,17 @@ def ceil_nth_root(v: int, n: int, *, start: int | None = None) -> int:
     if start is not None:
         if type(start) is not int:
             check_int("start", start)
-        if start < 1 or (q := start ** (n - 1)) * start < v:
+        if start < 1 or (sp := start ** (n - 1)) * start < v:
             raise ValueError(f"ceil_nth_root start must be >= 1 with start**n >= v, got {start}")
-    if n == 2:
-        return isqrt(v - 1) + 1
-    e = (v.bit_length() + n - 1) // n
-    x, p = (start, q) if start is not None and start < 1 << e else (1 << e, 1 << (e * (n - 1)))
+    if n < 3:
+        return v if n == 1 else isqrt(v - 1) + 1
+    q = (width := v.bit_length()) // n
+    chord = -(-((n + width % n) << q) // n)
+    x, p = (start, sp) if start is not None and start < chord else (chord, chord ** (n - 1))
     # From any x at or above s, the floor of the real root, the step is at least s
     # by AM-GM, and below x while x exceeds s; at x = s it is at least x.  So the
-    # loop stops at s, and the answer is s or s + 1; for n = 1 every step is v.  Each
-    # step takes one power, p = x**(n - 1), and p * x tests start and s.
+    # loop stops at s, and the answer is s or s + 1.  Each step takes one
+    # power, p = x**(n - 1), and p * x tests start and s.
     while (y := ((n - 1) * x + v // p) // n) < x:
         x, p = y, y ** (n - 1)
     return x if p * x >= v else x + 1

@@ -81,7 +81,7 @@ def rows_to_csv(rows) -> str:
                 row.bits,
                 row.scheme.label,
                 len(row.moduli),
-                ";".join(str(m) for m in row.moduli),
+                ";".join(map(str, row.moduli)),
                 row.bit_cost,
                 row.deviation_note or "",
             ]

@@ -171,7 +171,8 @@ FAMILY_FORMS = {
 @pytest.mark.parametrize("family", sorted(FAMILY_FORMS))
 def test_baseline_is_the_first_covering_family_member(family):
     form = FAMILY_FORMS[family]
-    for bits in [*range(2, 300), 1024, 4096, 8192]:
+    # 12288 lies past the CLI's 8192 cap, where no CLI row checks the bisection window
+    for bits in [*range(2, 300), 1024, 4096, 8192, 12288]:
         n = 1
         while min(form(n)) < 2 or prod(form(n)) < 2**bits - 1:
             n += 1
@@ -396,7 +397,12 @@ def test_generator_matches_reference_bit_for_bit():
 @settings(derandomize=True, max_examples=400)
 def test_generator_matches_reference_across_gen_sweep(bits, t):
     # the gen-sweep benchmark's domain of generate requests
-    assert gen(bits, t) == reference_generator(bits, t), (bits, t)
+    got = gen(bits, t)
+    assert got == reference_generator(bits, t), (bits, t)
+    # each slot's root is the Newton start of the next: c + 1 bounds the first,
+    # and every later root is at most the one before it
+    roots = [got[0].moduli[0] + 1] + [k_root for _, k_root in got[1].extras]
+    assert all(a >= b for a, b in zip(roots, roots[1:])), (bits, t, roots)
 
 
 def test_generation_is_deterministic():

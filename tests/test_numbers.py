@@ -73,6 +73,8 @@ WIDE_POWERS = [
     # wide roots at the generator's cardinalities, up to 24, and 2**128 for
     # (2**8192 - 1, 64), the widest request, where Newton starts at the root
     (2**86 - 1, 24), (3**54 + 2, 17), (10**40 + 1, 8), (2**400 + 3, 5), (2**128, 64),
+    # n divides the bit length of r**n - 1, where the chord start is the root itself
+    (2**86, 24), (2**683, 3),
 ]
 
 
@@ -98,7 +100,7 @@ def test_root_bracket_property(v, n):
 
 
 # no start, a start at the root or a little above it, or one far enough
-# above to lie past 2**ceil(bitlen/n), where Newton starts without one
+# above to lie past the chord bound, where Newton starts without one
 start_offsets = st.one_of(
     st.none(), st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=2**80)
 )
