@@ -109,10 +109,12 @@ class SchemeId(Record):
     """Identifies a generation scheme: ours at some cardinality, or a baseline.
 
     family is "proposed" (cardinality an int >= 3, not a bool) or one of
-    the power-of-two baseline families "sm1", "sm2", "sm3".
+    the power-of-two baseline families "sm1", "sm2", "sm3".  label is the
+    derived spelling, "proposed<t>" or the family, that `parse` reads.
     """
 
-    __slots__ = FIELDS = ("family", "cardinality")
+    FIELDS = ("family", "cardinality")
+    __slots__ = (*FIELDS, "label")
 
     def __init__(self, family: str, cardinality: int | None = None) -> None:
         if family == "proposed":
@@ -122,7 +124,8 @@ class SchemeId(Record):
                 raise ValueError(f"{family} does not take a cardinality")
         else:
             raise ValueError(f"unknown scheme family {family!r}")
-        self.__setstate__((family, cardinality))
+        label = family if cardinality is None else f"proposed{cardinality}"
+        self.__setstate__((family, cardinality, label))
 
     @classmethod
     def parse(cls, label: str) -> "SchemeId":
@@ -134,12 +137,6 @@ class SchemeId(Record):
         if (cardinality := parse_decimal(digits)) is not None:
             return cls("proposed", cardinality)
         raise ValueError(f"unknown scheme {label!r}")
-
-    @property
-    def label(self) -> str:
-        if self.family == "proposed":
-            return f"proposed{self.cardinality}"
-        return self.family
 
 
 class ValidationReport(Record):
@@ -181,9 +178,10 @@ def find_moduli(req: GenerationRequest) -> tuple[ModuliSet, GenerationTrace]:
 
     Moduli are returned in generation order, center first, and the
     product the loop carried is the set's dynamic_range.  The trace
-    records x and every extra slot's (k, k_root).
+    records x and every extra slot's (k, k_root).  GenerationRequest's
+    constructor is the one check of bits and cardinality.
     """
-    target = check_bits(req.bits)
+    target = (1 << req.bits) - 1
     x = ceil_nth_root(target, req.cardinality)
     center = x if x % 2 == 0 else x + 1
     if req.cardinality == 3:

@@ -75,17 +75,11 @@ def rows_to_csv(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow(
-            [
-                row.bits,
-                row.scheme.label,
-                len(row.moduli),
-                ";".join(map(str, row.moduli)),
-                row.bit_cost,
-                row.deviation_note or "",
-            ]
-        )
+    writer.writerows(
+        (row.bits, row.scheme.label, len(row.moduli), ";".join(map(str, row.moduli)),
+         row.bit_cost, row.deviation_note or "")
+        for row in rows
+    )
     return buf.getvalue()
 
 

@@ -19,6 +19,7 @@ from rnskit.moduli import (
     find_moduli,
     validate,
 )
+from rnskit.tables import DEVIATION_NOTES, ComparisonRow, rows_to_csv
 
 from helpers import bisection_ceil_root
 
@@ -126,9 +127,15 @@ def test_baseline_rejects_proposed():
 
 
 def test_scheme_parse():
-    assert SchemeId.parse("proposed4") == SchemeId("proposed", 4)
-    assert SchemeId.parse("SM1") == SchemeId("sm1")
-    assert SchemeId.parse("proposed4").label == "proposed4"
+    # every family's label, spelled as the CSV scheme column and DEVIATION_NOTES spell it
+    spellings = {family: SchemeId(family) for family in ("sm1", "sm2", "sm3")} | {
+        f"proposed{t}": SchemeId("proposed", t) for t in (3, 4, 5, 6, 64)
+    }
+    assert {label for _, label in DEVIATION_NOTES} <= spellings.keys()
+    for text, scheme in spellings.items():
+        assert scheme.label == text
+        assert SchemeId.parse(scheme.label) == scheme == SchemeId.parse(text.upper())
+        assert rows_to_csv([ComparisonRow(24, scheme, (), 0)]).splitlines()[1].split(",")[1] == text
     with pytest.raises(ValueError):
         SchemeId.parse("nonsense")
     with pytest.raises(CardinalityError):

@@ -54,7 +54,7 @@ INSTANCES = {
     ModuliSet: (MS, ("moduli",), ("dynamic_range",)),
     GenerationRequest: (GenerationRequest(32, 6), ("bits", "cardinality"), ()),
     GenerationTrace: (TRACE32, ("x", "extras"), ()),
-    SchemeId: (SchemeId("proposed", 4), ("family", "cardinality"), ()),
+    SchemeId: (SchemeId("proposed", 4), ("family", "cardinality"), ("label",)),
     ValidationReport: (
         validate(ModuliSet((4, 6, 1)), 20),
         ("small_moduli", "conflicting_pairs", "shortfall"),

@@ -103,9 +103,11 @@ def test_forward_wide_sets_match_remainders(moduli):
         assert to_rns(ctx, x).residues == remainder_oracle(moduli, x)
 
 
+# no shrink phase, as for the reverse test below: shrinking values up to 4·M
+# over 8192-bit sets costs seconds per failing row
 @pytest.mark.parametrize("moduli", WIDE_SETS)
 @given(data=st.data())
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 def test_forward_wide_sets_random(moduli, data):
     ctx = RnsContext(ModuliSet(moduli))
     x = data.draw(st.integers(min_value=0, max_value=4 * ctx.moduli_set.dynamic_range - 1))
