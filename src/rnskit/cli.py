@@ -1,12 +1,14 @@
 """Command-line surface: gen, compare, convert, and run.
 
-Exit codes: 0 ok, 1 usage or program-parse error, 2 validation error
-(including a value beyond a documented limit), 3 datapath run fault.
+Exit codes: 0 ok, 1 usage or program-parse error or, with no message, a
+reader that closed stdout early (`| head`), 2 validation error (including a
+value beyond a documented limit), 3 datapath run fault.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
 
@@ -106,22 +108,21 @@ def _bindings(parts: list[str]) -> dict[str, int]:
     return out
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> str:
     bits = _at_most(_decimal(args.bits, "bits"), MAX_BITS, "bits")
     count = _at_most(_decimal(args.count, "count"), MAX_MODULI, "count")
     moduli_set, trace = find_moduli(GenerationRequest(bits, count))
-    print("moduli:", ",".join(str(m) for m in moduli_set.moduli))
-    print("bit_cost:", bit_cost(moduli_set))
-    print("dynamic_range:", moduli_set.dynamic_range)
+    text = (f"moduli: {','.join(str(m) for m in moduli_set.moduli)}\n"
+            f"bit_cost: {bit_cost(moduli_set)}\n"
+            f"dynamic_range: {moduli_set.dynamic_range}\n")
     if args.trace:
-        print("x:", trace.x)
-        print("center:", moduli_set.moduli[0])
+        text += f"x: {trace.x}\ncenter: {moduli_set.moduli[0]}\n"
         for i, ((k, k_root), chosen) in enumerate(zip(trace.extras, moduli_set.moduli[3:]), 1):
-            print(f"k[{i}]: {k} root={k_root} chosen={chosen}")
-    return EXIT_OK
+            text += f"k[{i}]: {k} root={k_root} chosen={chosen}\n"
+    return text
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> str:
     bits_list = [_at_most(bits, MAX_BITS, "bits") for bits in _int_list(args.bits, "bits")]
     schemes = []
     for label in _items(args.schemes, "schemes"):
@@ -134,11 +135,7 @@ def cmd_compare(args) -> int:
         schemes.append(scheme)
     _at_most(len(bits_list) * len(schemes), MAX_COMPARE_CELLS, "compare cells")
     rows = comparison_rows(bits_list, schemes)
-    if args.format == "csv":
-        sys.stdout.write(rows_to_csv(rows))
-    else:
-        sys.stdout.write(rows_to_markdown(rows))
-    return EXIT_OK
+    return rows_to_csv(rows) if args.format == "csv" else rows_to_markdown(rows)
 
 
 def _context(moduli_text: str) -> RnsContext:
@@ -155,18 +152,16 @@ def _warn_if_wraps(ctx: RnsContext, value: int) -> None:
               file=sys.stderr)
 
 
-def cmd_convert(args) -> int:
+def cmd_convert(args) -> str:
     ctx = _context(args.moduli)
     if args.value is not None:
         value = _decimal(args.value, "value")
         _warn_if_wraps(ctx, value)
         number = to_rns(ctx, value)
-        print(",".join(str(r) for r in number.residues))
-    else:
-        residues = tuple(_int_list(args.residues, "residues"))
-        number = RnsNumber(residues, ctx.moduli_set)
-        print(from_rns(ctx, number))
-    return EXIT_OK
+        return ",".join(str(r) for r in number.residues) + "\n"
+    residues = tuple(_int_list(args.residues, "residues"))
+    number = RnsNumber(residues, ctx.moduli_set)
+    return f"{from_rns(ctx, number)}\n"
 
 
 def _print_trace(trace) -> None:
@@ -182,7 +177,7 @@ def _print_trace(trace) -> None:
         print(f"step {i}: " + " ".join(cells), file=sys.stderr)
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> str:
     bindings = _bindings(args.bind or [])
     if args.builtin == "function1":
         prog = builtin_function1()
@@ -208,9 +203,7 @@ def cmd_run(args) -> int:
         _warn_if_wraps(ctx, value)
     if args.trace:
         _print_trace(trace)
-    for value in outputs:
-        print(value)
-    return EXIT_OK
+    return "".join(f"{value}\n" for value in outputs)
 
 
 @cache
@@ -262,7 +255,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        print(args.func(args), end="", flush=True)
+    except BrokenPipeError:
+        # stdout's reader left early (| head): devnull takes its descriptor for the exit flush
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_USAGE
     except (_UsageError, UnboundPlaceholderError, OSError) as exc:
         print(f"rnskit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -276,3 +274,4 @@ def main(argv=None) -> int:
     except RunFault as exc:
         print(f"rnskit: run fault: {exc}", file=sys.stderr)
         return EXIT_RUN_FAULT
+    return EXIT_OK

@@ -377,6 +377,9 @@ PRIMES = [p for p in range(2, 320) if all(p % d for d in range(2, p))]
             id="run-program-file",
         ),
         pytest.param(
+            (*RUN_PROGRAM, "PROG p\nSTEP a=1\nEND\n"), (0, "", ""), id="run-emits-nothing",
+        ),
+        pytest.param(
             (*FUNCTION1, "X=1,,Y=2", "--bind", ",", "--bind", "Z=3"),
             _out("9"),
             id="empty-bindings-skipped",
@@ -719,6 +722,20 @@ def test_run_program_not_utf8_exits_1(capsys, tmp_path):
         f"{path}: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte")
 
 
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda path: None, "[Errno 2] No such file or directory"),
+        (Path.mkdir, "[Errno 21] Is a directory"),
+    ],
+    ids=["missing", "directory"],
+)
+def test_run_program_that_cannot_be_opened_exits_1(capsys, tmp_path, make, message):
+    path = tmp_path / "prog.txt"
+    make(path)
+    assert invoke(capsys, *RUN_PROGRAM, str(path)) == _error(f"{message}: '{path}'")
+
+
 def test_run_program_after_a_utf8_byte_order_mark(capsys, tmp_path):
     readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
     text = readme.split("## Program text format\n\n```\n", 1)[1].split("```", 1)[0]
@@ -999,6 +1016,57 @@ def test_module_entry_point_exits_as_main_returns(capsys, tmp_path, argv, expect
     assert proc.returncode == code == expected
     assert (proc.stdout, proc.stderr) == (out, err)
     assert "Traceback" not in proc.stderr
+
+
+def _module_env():
+    """The environment test_module_entry_point_exits_as_main_returns runs in."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--bits", "32", "--count", "6"),
+        ("gen", "--bits", "8192", "--count", "64", "--trace"),
+        ("compare", "--bits", "16,24,32", "--schemes", "proposed3,sm1"),
+        (*FUNCTION1, "X=7,Y=5,Z=3", "--trace"),
+    ],
+    ids=["gen", "gen-wide-trace", "compare", "run-trace"],
+)
+def test_reader_that_closes_stdout_early_ends_the_run_with_exit_1(capsys, argv, unbuffered):
+    # small output sits in stdout's buffer unless PYTHONUNBUFFERED is set, so
+    # the write fails either in print or in the flush that follows it
+    env = _module_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child starts
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rnskit", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    # stderr carries only what an uncut run writes there: a --trace, no error
+    assert (proc.returncode, proc.stderr) == (1, invoke(capsys, *argv)[2])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("gen", "--bits", "32", "--count", "6"), ("compare", "--bits", "16", "--schemes", "sm1")],
+    ids=["gen", "compare"],
+)
+def test_stdout_closed_from_the_start_exits_0_silently(argv):
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "rnskit", *argv],
+        capture_output=True, text=True, env=_module_env(), timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
 
 
 def test_console_script_is_main(capsys):
